@@ -4,8 +4,11 @@
 
 #include "dip/cancel.hpp"
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -20,8 +23,11 @@ std::atomic<int> g_forced_threads{0};
 
 int default_threads() {
   if (const char* env = std::getenv("LRDIP_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1 && v <= 1024) return v;
+    // The whole value must be a number in range; junk and overflow fall back.
+    const char* end = env + std::strlen(env);
+    int v = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc() && ptr == end && v >= 1 && v <= 1024) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -43,8 +49,10 @@ struct Job {
   std::int64_t chunks = 0;
   const std::int64_t* bounds = nullptr;  // chunks + 1 entries when weighted
   std::atomic<std::int64_t> next{0};
-  std::atomic<int> tokens{0};  // workers allowed to steal chunks (thread cap)
-  std::atomic<int> active{0};  // workers that still owe a response
+  // Pool workers that may still join (the thread cap) and pool workers
+  // inside run_chunks; both guarded by the pool's mutex.
+  int open_slots = 0;
+  int joined = 0;
   // Observability (src/obs/metrics.hpp): when metering is on, each
   // participant records its busy time into a claimed slot. Slot 0 is always
   // the calling thread (it claims before dispatch); null when metering is off.
@@ -96,9 +104,9 @@ struct Job {
 
 // True while this thread is executing the body of a parallel region — on the
 // calling thread for the duration of the region, and on a pool worker while
-// it runs chunks. Nested parallel_for calls check it and run inline, which is
-// what keeps Pool::run non-reentrant (a worker that re-entered the pool would
-// deadlock waiting for itself to service the inner job).
+// it runs chunks. Nested parallel_for calls check it and run inline: the outer
+// region already spreads over the pool, and its busy slots already hold the
+// inner loop's time.
 thread_local bool tl_in_parallel_region = false;
 
 struct RegionGuard {
@@ -107,6 +115,9 @@ struct RegionGuard {
   ~RegionGuard() { tl_in_parallel_region = prev; }
 };
 
+// A FIFO of jobs with helper slots left. An idle worker joins the front job;
+// the caller runs its own chunks regardless (see parallel.hpp), then waits
+// only for the workers that actually joined.
 class Pool {
  public:
   static Pool& instance() {
@@ -120,19 +131,14 @@ class Pool {
       while (static_cast<int>(workers_.size()) < helpers) {
         workers_.emplace_back([this] { worker_loop(); });
       }
-      // Every live worker wakes and must respond; only `helpers` of them get
-      // a chunk-stealing token, so the thread cap is respected even when the
-      // pool is larger than this job wants.
-      job.tokens.store(helpers, std::memory_order_relaxed);
-      job.active.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
-      job_ = &job;
-      ++generation_;
+      job.open_slots = helpers;
+      queue_.push_back(&job);
     }
     wake_.notify_all();
     job.run_chunks();  // the caller is a full participant
     std::unique_lock<std::mutex> lk(mu_);
-    done_.wait(lk, [&] { return job.active.load(std::memory_order_acquire) == 0; });
-    job_ = nullptr;
+    if (job.open_slots > 0) std::erase(queue_, &job);
+    done_.wait(lk, [&] { return job.joined == 0; });
   }
 
  private:
@@ -141,41 +147,33 @@ class Pool {
     {
       std::lock_guard<std::mutex> lk(mu_);
       stop_ = true;
-      ++generation_;
     }
     wake_.notify_all();
     for (auto& t : workers_) t.join();
   }
 
   void worker_loop() {
-    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(mu_);
     while (true) {
-      Job* job = nullptr;
+      wake_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+      if (stop_) return;
+      Job* job = queue_.front();
+      if (--job->open_slots == 0) queue_.pop_front();
+      ++job->joined;
+      lk.unlock();
       {
-        std::unique_lock<std::mutex> lk(mu_);
-        wake_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        seen = generation_;
-        if (stop_) return;
-        job = job_;
-      }
-      if (job == nullptr) continue;
-      if (job->tokens.fetch_sub(1, std::memory_order_acq_rel) > 0) {
         RegionGuard region;  // nested regions inside the body stay inline
         job->run_chunks();
       }
-      const bool last = job->active.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      if (last) {
-        std::lock_guard<std::mutex> lk(mu_);
-        done_.notify_all();
-      }
+      lk.lock();
+      if (--job->joined == 0) done_.notify_all();
     }
   }
 
   std::mutex mu_;
   std::condition_variable wake_, done_;
   std::vector<std::thread> workers_;
-  Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
+  std::deque<Job*> queue_;
   bool stop_ = false;
 };
 
@@ -207,11 +205,7 @@ void dispatch_job(Job& job, int threads, const detail::RangeBody& body) {
   const std::int64_t t0 = timed ? obs::now_ns() : 0;
   {
     RegionGuard region;
-    if (helpers <= 0) {
-      job.run_chunks();
-    } else {
-      Pool::instance().run(job, helpers);
-    }
+    Pool::instance().run(job, helpers);
   }
   if (timed) {
     obs::MetricsRegistry::instance().record_parallel(obs::now_ns() - t0, busy, job.n);

@@ -13,6 +13,11 @@
 // several chunks throw, the lowest-indexed chunk's exception wins, so even
 // failure is deterministic.
 //
+// Concurrent callers: any number of threads may run parallel regions at once.
+// Each caller runs its own region's chunks and idle pool workers join in, so
+// a region completes even while every worker is stuck in another caller's
+// body, and one caller's exception or cancellation never reaches another.
+//
 // Thread count: LRDIP_THREADS overrides std::thread::hardware_concurrency();
 // set_parallel_threads() overrides both (tests and benchmarks use it to pin
 // the count). Loops shorter than the grain run inline on the caller.

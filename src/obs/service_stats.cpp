@@ -86,8 +86,6 @@ std::string ServiceStats::to_json() const {
      << "  \"bad_requests\": " << v(bad_requests) << ",\n"
      << "  \"too_large\": " << v(too_large) << ",\n"
      << "  \"wedged_workers\": " << v(wedged_workers) << ",\n"
-     << "  \"degraded\": " << (degraded.load(std::memory_order_relaxed) ? "true" : "false")
-     << ",\n"
      << "  \"latency\": " << latency.to_json() << "\n"
      << "}";
   return os.str();

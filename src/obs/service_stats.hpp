@@ -73,7 +73,6 @@ struct ServiceStats {
 
   // Degradation ladder.
   std::atomic<std::int64_t> wedged_workers{0};
-  std::atomic<bool> degraded{false};
 
   // Reply latency, request arrival to response write (admitted requests).
   LatencyHistogram latency;

@@ -1,7 +1,5 @@
 #include "service/server.hpp"
 
-#include "dip/parallel.hpp"
-
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -471,14 +469,6 @@ void Server::watchdog_loop() {
     }
     if (newly_wedged > 0) {
       stats_.wedged_workers.fetch_add(newly_wedged, std::memory_order_relaxed);
-      if (!stats_.degraded.exchange(true, std::memory_order_acq_rel)) {
-        // Degraded mode: a wedged verification body may be squatting inside
-        // the process-wide parallel pool's single job slot, which would
-        // block every later parallel dispatch forever. Forcing the engine
-        // inline makes all future verification sequential — slower, but it
-        // bypasses the pool entirely and the service keeps answering.
-        set_parallel_threads(1);
-      }
       for (int i = 0; i < newly_wedged; ++i) spawn_worker();
     }
   }

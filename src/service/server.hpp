@@ -23,9 +23,8 @@
 //   3. deadline fires mid-run    -> cooperative cancel at the next parallel
 //      chunk checkpoint, item answers deadline_exceeded;
 //   4. a worker wedges (no heartbeat progress past wedge_timeout_ms) -> the
-//      watchdog marks it lost, forces the parallel engine to inline
-//      (sequential verification), spawns a replacement worker, and flags the
-//      process degraded in /statsz;
+//      watchdog marks it lost, counts it in /statsz wedged_workers, and
+//      spawns a replacement worker;
 //   5. SIGTERM -> drain(): stop accepting, finish everything admitted,
 //      answer late arrivals shutting_down, then exit cleanly.
 #pragma once
@@ -97,7 +96,6 @@ class Server {
 
   const std::string& error() const { return error_; }
   const obs::ServiceStats& stats() const { return stats_; }
-  bool degraded() const { return stats_.degraded.load(std::memory_order_relaxed); }
 
  private:
   struct Conn {
@@ -168,7 +166,6 @@ class Server {
   std::vector<std::shared_ptr<Conn>> conns_;
   std::atomic<int> live_conns_{0};
   std::condition_variable conns_cv_;
-  std::vector<std::thread> conn_threads_;
 
   struct Bucket {
     double tokens = 0;

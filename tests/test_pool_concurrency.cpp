@@ -12,19 +12,40 @@
 //     same (instance, seed) after arbitrary interleaved foreign work
 //     reproduces the same Outcome to the bit (the digest-parity guarantee
 //     the service advertises depends on it).
+//
+// The parallel executor is shared by those callers too, so the last tests
+// pin its concurrent-caller guarantee (dip/parallel.hpp): a region stuck in
+// its own body blocks no other caller, and failures stay with their caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dip/arena.hpp"
+#include "dip/cancel.hpp"
+#include "dip/parallel.hpp"
 #include "dip/runtime.hpp"
 #include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
 namespace {
+
+// Spins until `flag` holds or five seconds pass; true when it held. The
+// bound turns an executor hang into a test failure instead of a lost run.
+template <typename Pred>
+bool wait_for(Pred flag) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
 
 bool same_outcome(const Outcome& a, const Outcome& b) {
   return a.accepted == b.accepted && a.rounds == b.rounds &&
@@ -174,6 +195,90 @@ TEST(PoolConcurrency, ManyConcurrentCallersSurviveChurn) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(PoolConcurrency, WedgedRegionDoesNotBlockOtherCallers) {
+  set_parallel_threads(4);
+  // Caller A fills every participant slot (itself plus three workers) with a
+  // chunk that blocks until caller B's region has returned.
+  std::atomic<bool> release{false};
+  std::atomic<int> a_inside{0};
+  const auto wedged = [&](std::int64_t) {
+    a_inside.fetch_add(1);
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  std::thread a([&] { parallel_for(4, wedged, 1); });
+  EXPECT_TRUE(wait_for([&] { return a_inside.load() == 4; }));
+
+  std::atomic<bool> b_done{false};
+  std::vector<int> hits(4096, 0);
+  std::thread b([&] {
+    const auto n = static_cast<std::int64_t>(hits.size());
+    parallel_for(n, [&](std::int64_t i) { hits[i] += 1; }, 64);
+    b_done.store(true);
+  });
+  EXPECT_TRUE(wait_for([&] { return b_done.load(); })) << "B waited on a worker stuck in A";
+  release.store(true);
+  b.join();
+  a.join();
+  set_parallel_threads(0);
+  for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1) << i;
+}
+
+TEST(PoolConcurrency, ConcurrentRegionsKeepTheirOwnFailure) {
+  set_parallel_threads(4);
+  // Both regions hold their chunk 0 until the other one is running too.
+  std::atomic<int> arrived{0};
+  const auto rendezvous = [&] {
+    arrived.fetch_add(1);
+    wait_for([&] { return arrived.load() >= 2; });
+  };
+
+  const auto throwing = [&](std::int64_t i) {
+    if (i == 0) rendezvous();
+    if (i == 3 || i == 7) throw std::runtime_error("chunk " + std::to_string(i));
+  };
+  std::string thrower_got;
+  std::thread thrower([&] {
+    try {
+      parallel_for(16, throwing, 1);
+      thrower_got = "no exception";
+    } catch (const CancelledError&) {
+      thrower_got = "cancelled";
+    } catch (const std::runtime_error& e) {
+      thrower_got = e.what();
+    }
+  });
+
+  // The second caller's token expires inside its region: chunk 0 cancels
+  // it, and the other chunks hold until then, so later chunk checkpoints
+  // must observe the expired token.
+  std::string cancelled_got;
+  std::thread cancelled([&] {
+    CancelToken token;
+    ScopedCancelToken scope(&token);
+    const auto cancelling = [&](std::int64_t i) {
+      if (i == 0) {
+        rendezvous();
+        token.cancel();
+      } else {
+        wait_for([&] { return token.cancel_requested(); });
+      }
+    };
+    try {
+      parallel_for(16, cancelling, 1);
+      cancelled_got = "no exception";
+    } catch (const CancelledError&) {
+      cancelled_got = "cancelled";
+    } catch (const std::runtime_error& e) {
+      cancelled_got = e.what();
+    }
+  });
+  thrower.join();
+  cancelled.join();
+  set_parallel_threads(0);
+  EXPECT_EQ(thrower_got, "chunk 3");
+  EXPECT_EQ(cancelled_got, "cancelled");
 }
 
 }  // namespace

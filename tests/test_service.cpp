@@ -1,6 +1,6 @@
 // In-process lrdipd server tests: the typed-error contract, digest parity
 // with the one-shot Runtime path, backpressure, deadlines, the watchdog's
-// degraded mode, and drain semantics.
+// worker replacement, and drain semantics.
 //
 // Each test boots a real Server on its own unix socket under /tmp and talks
 // to it through the real Client — the full wire path, minus the process
@@ -316,7 +316,7 @@ TEST(Service, DeadlinePassedInQueueAnsweredWithoutRunning) {
   server.stop();
 }
 
-TEST(Service, WatchdogDegradesAndServiceKeepsAnswering) {
+TEST(Service, WatchdogReplacesWedgedWorkerAndServiceKeepsAnswering) {
   const std::string socket = test_socket("watchdog");
   ServerConfig cfg = base_config(socket);
   cfg.worker_threads = 1;
@@ -324,6 +324,7 @@ TEST(Service, WatchdogDegradesAndServiceKeepsAnswering) {
   cfg.enable_test_hooks = true;
   Server server(cfg);
   ASSERT_TRUE(server.start()) << server.error();
+  const int threads_before = parallel_threads();
 
   // Wedge the only worker well past the watchdog budget.
   Client sleeper(ClientConfig{socket});
@@ -352,20 +353,28 @@ TEST(Service, WatchdogDegradesAndServiceKeepsAnswering) {
   EXPECT_LT(waited, 1100) << "the replacement worker, not the wedged one, must answer";
 
   EXPECT_GE(server.stats().wedged_workers.load(), 1);
-  EXPECT_TRUE(server.degraded());
+  // Replacing the worker leaves the parallel engine alone: a request large
+  // enough for the full-pool path still runs there and keeps digest parity.
+  EXPECT_EQ(parallel_threads(), threads_before);
+  const auto big_n = static_cast<std::uint32_t>(cfg.small_instance_threshold);
+  const Request big = verify_request(51, Task::lr_sorting, big_n, BodyKind::genspec_yes);
+  ASSERT_TRUE(client.call_once(big, &resp));
+  ASSERT_EQ(resp.status, ServiceStatus::ok) << resp.text;
+  Rng gen(big.gen_seed);
+  const BoundInstance bi = make_yes_instance(Task::lr_sorting, static_cast<int>(big.n), gen);
+  const Runtime local(Runtime::Config{{3}});
+  Rng coins(big.seed);
+  EXPECT_EQ(resp.outcome_digest, outcome_digest(local.run(bi.view(), coins)));
   // /statsz keeps serving from the connection thread regardless of workers.
   Request statsz;
   statsz.type = MsgType::statsz;
   statsz.request_id = 2;
   ASSERT_TRUE(client.call_once(statsz, &resp));
   EXPECT_EQ(resp.status, ServiceStatus::ok);
-  EXPECT_NE(resp.text.find("\"degraded\": true"), std::string::npos) << resp.text;
+  EXPECT_NE(resp.text.find("\"wedged_workers\": "), std::string::npos) << resp.text;
 
   wedger.join();
   server.stop();
-  // Degraded mode pinned the global engine to inline; restore for the rest
-  // of the binary.
-  set_parallel_threads(0);
 }
 
 TEST(Service, DrainAnswersLateArrivalsShuttingDown) {

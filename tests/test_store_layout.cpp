@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "dip/arena.hpp"
@@ -240,6 +243,30 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
                [&](std::int64_t i) { hits[i] += 1; });
   set_parallel_threads(0);
   for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1) << i;
+}
+
+TEST(ParallelFor, LrdipThreadsMustBeAWholeNumberInRange) {
+  const char* env = std::getenv("LRDIP_THREADS");
+  const bool had_env = env != nullptr;
+  const std::string saved = had_env ? env : "";
+  set_parallel_threads(0);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw == 0 ? 1 : static_cast<int>(hw);
+  unsetenv("LRDIP_THREADS");
+  EXPECT_EQ(parallel_threads(), fallback);
+  setenv("LRDIP_THREADS", "4", 1);
+  EXPECT_EQ(parallel_threads(), 4);
+  // A trailing-junk value that differs from the fallback on every host.
+  const std::string near_miss = std::to_string(fallback % 1024 + 1) + "x";
+  for (const char* bad : {"0", "abc", "4x", "99999999999", near_miss.c_str()}) {
+    setenv("LRDIP_THREADS", bad, 1);
+    EXPECT_EQ(parallel_threads(), fallback) << bad;
+  }
+  if (had_env) {
+    setenv("LRDIP_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("LRDIP_THREADS");
+  }
 }
 
 }  // namespace
