@@ -27,11 +27,7 @@ using namespace lrdip::bench;
 namespace {
 
 int fault_bench_n(int def = 256) {
-  if (const char* env = std::getenv("LRDIP_BENCH_FAULT_N")) {
-    const int v = std::atoi(env);
-    if (v >= 16 && v <= 65536) return v;
-  }
-  return def;
+  return env_int("LRDIP_BENCH_FAULT_N", 16, 65536, def);
 }
 
 struct Cell {
@@ -129,7 +125,7 @@ int main() {
                "climbs with rate and hits every run at rate 1 for destructive models "
                "(label_drop -> missing_label); crashes stay 0 everywhere.\n";
   if (total_crashes > 0) {
-    std::cout << "FAILED: " << total_crashes << " uncaught exception(s) escaped run_*\n";
+    std::cout << "FAILED: " << total_crashes << " uncaught exception(s) escaped run_protocol\n";
     return 1;
   }
   return 0;

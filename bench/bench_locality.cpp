@@ -11,6 +11,7 @@
 #include "graph/planarity.hpp"
 #include "protocols/locality.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 
 using namespace lrdip;
 using namespace lrdip::bench;
@@ -33,7 +34,7 @@ int main() {
     int rejects = 0;
     const int trials = 5;
     for (int s = 0; s < trials; ++s) {
-      rejects += !run_planarity({&g, nullptr}, {3}, rng).accepted;
+      rejects += !run_protocol(make_instance(PlanarityInstance{&g, nullptr}), {3}, rng).accepted;
     }
     t.add_row({Table::num(stretch), Table::num(std::uint64_t(g.n())), Table::num(r_ok),
                Table::num(rejects) + "/" + Table::num(trials)});

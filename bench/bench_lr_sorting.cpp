@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "protocols/registry.hpp"
 
 using namespace lrdip;
 using namespace lrdip::bench;
@@ -25,24 +26,23 @@ int main() {
     const int n = 1 << logn;
     const LrInstance yes = random_lr_yes(n, 1.0, rng);
     const LrSortingInstance inst = to_protocol_instance(yes);
-    const Outcome o = run_lr_sorting(inst, {3}, rng);
-    const Outcome base = run_lr_sorting_baseline_pls(inst);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
+    const int pls_bits = protocol_spec(Task::lr_sorting).pls_bits(n);
 
     int flip_rejects = 0, shift_rejects = 0;
     const int local_trials = std::max(4, trials / (1 + logn / 8));
     for (int s = 0; s < local_trials; ++s) {
       const LrInstance no = random_lr_no(std::min(n, 4096), 1.0, 1, rng);
-      flip_rejects += !run_lr_sorting(to_protocol_instance(no), {3}, rng).accepted;
+      flip_rejects += !run_protocol(make_instance(to_protocol_instance(no)), {3}, rng).accepted;
       const LrInstance shifted = random_lr_yes(std::min(n, 4096), 1.0, rng);
       LrCheatSpec cheat;
       cheat.shift_block = true;
-      shift_rejects += !run_lr_sorting(to_protocol_instance(shifted), {3}, rng, &cheat).accepted;
+      shift_rejects +=
+          !run_lr_sorting_cheating(to_protocol_instance(shifted), {3}, rng, cheat).accepted;
     }
     t.add_row({Table::num(std::uint64_t(n)), Table::num(std::uint64_t(inst.graph->m())),
-               Table::num(o.rounds), Table::num(o.proof_size_bits),
-               Table::num(base.proof_size_bits),
-               Table::num(double(base.proof_size_bits) / o.proof_size_bits, 2),
-               o.accepted ? "1.00" : "0.00",
+               Table::num(o.rounds), Table::num(o.proof_size_bits), Table::num(pls_bits),
+               Table::num(double(pls_bits) / o.proof_size_bits, 2), o.accepted ? "1.00" : "0.00",
                Table::num(double(flip_rejects) / local_trials, 2),
                Table::num(double(shift_rejects) / local_trials, 2)});
   }

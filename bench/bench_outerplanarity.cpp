@@ -22,21 +22,19 @@ int main() {
     const int blocks = std::max(2, logn);
     const auto gi = random_outerplanar_with_cert(n, blocks, rng);
     const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
-    const Outcome o = run_outerplanarity(inst, {3}, rng);
-    // Baseline label width only (the PLS oracle is O(n^2); instances are
-    // yes-instances by construction).
-    Outcome base;
-    base.proof_size_bits = protocol_spec(Task::outerplanar).pls_bits(n);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
+    const int pls_bits = protocol_spec(Task::outerplanar).pls_bits(n);
 
     int no_rej = 0;
     for (int s = 0; s < trials; ++s) {
       const auto bad = outerplanar_no_instance(256, 4, rng);
-      no_rej += !run_outerplanarity({&bad.graph, bad.block_cycles}, {3}, rng).accepted;
+      const OuterplanarityInstance no{&bad.graph, bad.block_cycles};
+      no_rej += !run_protocol(make_instance(no), {3}, rng).accepted;
     }
     t.add_row({Table::num(std::uint64_t(n)), Table::num(blocks), Table::num(o.rounds),
-               Table::num(o.proof_size_bits), Table::num(base.proof_size_bits),
-               Table::num(double(base.proof_size_bits) / o.proof_size_bits, 2),
-               o.accepted ? "1.00" : "0.00", Table::num(double(no_rej) / trials, 2)});
+               Table::num(o.proof_size_bits), Table::num(pls_bits),
+               Table::num(double(pls_bits) / o.proof_size_bits, 2), o.accepted ? "1.00" : "0.00",
+               Table::num(double(no_rej) / trials, 2)});
   }
   t.print(std::cout);
   return 0;

@@ -3,6 +3,7 @@
 
 #include "bench_util.hpp"
 #include "protocols/path_outerplanarity.hpp"
+#include "protocols/registry.hpp"
 
 using namespace lrdip;
 using namespace lrdip::bench;
@@ -20,23 +21,24 @@ int main() {
     const int n = 1 << logn;
     const auto gi = random_path_outerplanar(n, 1.0, rng);
     const PathOuterplanarityInstance inst{&gi.graph, gi.order};
-    const Outcome o = run_path_outerplanarity(inst, {3}, rng);
-    const Outcome base = run_path_outerplanarity_baseline_pls(inst);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
+    const int pls_bits = protocol_spec(Task::path_outerplanar).pls_bits(n);
 
     int cross_rej = 0, spider_rej = 0;
     for (int s = 0; s < trials; ++s) {
       const Graph bad = crossing_chords_no_instance(512, rng);
       std::vector<NodeId> order(bad.n());
       for (int i = 0; i < bad.n(); ++i) order[i] = i;
-      cross_rej += !run_path_outerplanarity({&bad, order}, {3}, rng).accepted;
+      const PathOuterplanarityInstance crossed{&bad, order};
+      cross_rej += !run_protocol(make_instance(crossed), {3}, rng).accepted;
       const Graph spider = spider_no_instance(128);
-      spider_rej += !run_path_outerplanarity({&spider, std::nullopt}, {3}, rng).accepted;
+      const PathOuterplanarityInstance no_path{&spider, std::nullopt};
+      spider_rej += !run_protocol(make_instance(no_path), {3}, rng).accepted;
     }
     t.add_row({Table::num(std::uint64_t(n)), Table::num(std::uint64_t(gi.graph.m())),
-               Table::num(o.rounds), Table::num(o.proof_size_bits),
-               Table::num(base.proof_size_bits),
-               Table::num(double(base.proof_size_bits) / o.proof_size_bits, 2),
-               o.accepted ? "1.00" : "0.00", Table::num(double(cross_rej) / trials, 2),
+               Table::num(o.rounds), Table::num(o.proof_size_bits), Table::num(pls_bits),
+               Table::num(double(pls_bits) / o.proof_size_bits, 2), o.accepted ? "1.00" : "0.00",
+               Table::num(double(cross_rej) / trials, 2),
                Table::num(double(spider_rej) / trials, 2)});
   }
   t.print(std::cout);

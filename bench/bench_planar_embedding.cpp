@@ -22,7 +22,7 @@ int main() {
     const int n = 1 << logn;
     const auto gi = random_planar(n, 0.4, rng);
     const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
-    const Outcome o = run_planar_embedding(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     const int pls_bits = protocol_spec(Task::embedding).pls_bits(n);
 
     int rej = 0, tried = 0;
@@ -30,7 +30,8 @@ int main() {
       auto bad = corrupt_rotation(random_apollonian(256, rng), 2, rng);
       if (is_planar_embedding(bad.graph, bad.rotation)) continue;
       ++tried;
-      rej += !run_planar_embedding({&bad.graph, &bad.rotation}, {3}, rng).accepted;
+      const PlanarEmbeddingInstance no{&bad.graph, &bad.rotation};
+      rej += !run_protocol(make_instance(no), {3}, rng).accepted;
     }
     t.add_row({Table::num(std::uint64_t(n)), Table::num(std::uint64_t(gi.graph.m())),
                Table::num(o.rounds), Table::num(o.proof_size_bits), Table::num(pls_bits),

@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "graph/boyer_myrvold.hpp"
+#include "graph/embedder.hpp"
 #include "graph/planarity.hpp"
 #include "protocols/planar_embedding.hpp"
 #include "protocols/registry.hpp"
@@ -49,12 +50,13 @@ int main() {
     const int n = 1 << logn;
     const auto gi = grid_graph(1 << (logn / 2), 1 << (logn - logn / 2));
     const PlanarityInstance inst{&gi.graph, &gi.rotation};
-    const Outcome o = run_planarity(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     int rej = 0;
     for (int s = 0; s < trials; ++s) {
       const auto host = random_planar(128, 0.5, rng);
       const Graph bad = plant_subdivision(host.graph, complete_graph(5), 8, rng);
-      rej += !run_planarity({&bad, nullptr}, {3}, rng).accepted;
+      const PlanarityInstance no{&bad, nullptr};
+      rej += !run_protocol(make_instance(no), {3}, rng).accepted;
     }
     t1.add_row({Table::num(std::uint64_t(gi.graph.n())), "4", Table::num(o.rounds),
                 Table::num(o.proof_size_bits),
@@ -69,7 +71,7 @@ int main() {
   for (int delta = 4; delta <= n_fixed / 4; delta *= 4) {
     const auto gi = bounded_degree_host(n_fixed, delta);
     const PlanarityInstance inst{&gi.graph, &gi.rotation};
-    const Outcome o = run_planarity(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     int real_delta = 0;
     for (NodeId v = 0; v < gi.graph.n(); ++v) real_delta = std::max(real_delta, gi.graph.degree(v));
     t2.add_row({Table::num(std::uint64_t(gi.graph.n())), Table::num(real_delta),
@@ -79,10 +81,11 @@ int main() {
   std::cout << "\nshape check: sweep 1 flat-ish in n; sweep 2 grows ~2 bits per 4x Delta.\n";
 
   // E-EMBED: the centralized engine sweep behind the honest prover. Seed-
-  // pinned random planar instances, embedded by both engines; the Demoucron
-  // oracle drops out of the sweep once one run exceeds its wall budget (its
-  // O(n*m) growth would otherwise dominate the harness at 2^20+), while the
-  // O(n+m) Boyer-Myrvold engine runs to the top of the range.
+  // pinned random planar instances, embedded by the production engine and by
+  // the directly called Demoucron oracle; the oracle drops out of the sweep
+  // once one run exceeds its wall budget (its O(n*m) growth would otherwise
+  // dominate the harness at 2^20+), while the O(n+m) Boyer-Myrvold engine
+  // runs to the top of the range.
   std::cout << "\n-- sweep 3 (E-EMBED): centralized engines, Boyer-Myrvold vs Demoucron --\n";
   Table t3({"n", "m", "bm_ms", "demoucron_ms", "speedup"});
   using clock = std::chrono::steady_clock;
@@ -97,7 +100,7 @@ int main() {
     const PlanarInstance gi = random_planar(n, 0.3, sweep_rng);
 
     const auto bm_t0 = clock::now();
-    const auto bm_emb = planar_embedding(gi.graph, PlanarityEngine::kBoyerMyrvold);
+    const auto bm_emb = planar_embedding(gi.graph);
     const double bm_ms = ms_since(bm_t0);
     if (!bm_emb.has_value()) {
       std::cout << "ERROR: Boyer-Myrvold called a planar instance non-planar at n=" << n << "\n";
@@ -107,7 +110,7 @@ int main() {
     double demo_ms = -1.0;
     if (oracle_alive) {
       const auto demo_t0 = clock::now();
-      const auto demo_emb = planar_embedding(gi.graph, PlanarityEngine::kDemoucron);
+      const auto demo_emb = demoucron_planar_embedding(gi.graph);
       demo_ms = ms_since(demo_t0);
       if (!demo_emb.has_value()) {
         std::cout << "ERROR: Demoucron called a planar instance non-planar at n=" << n << "\n";

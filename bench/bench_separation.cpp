@@ -3,9 +3,8 @@
 // One row per registry task at a fixed n: interactive (5-round) proof size
 // vs. the one-round Theta(log n) PLS baselines, and where each task's bits
 // come from. This is the paper's "power of interaction" story in one table.
-// The PLS column uses the registry's textbook one-round label widths: the
-// executable baselines decide through centralized recognizers (O(n^2) for
-// outerplanarity) that do not belong in a 2^16-node sweep.
+// The PLS column is the registry's textbook one-round label width (pls_bits);
+// the baselines are widths only, nothing executes them.
 #include <iostream>
 
 #include "bench_util.hpp"

@@ -21,13 +21,14 @@ int main() {
     const int n = 1 << logn;
     const SpInstance gi = random_series_parallel(n, rng);
     const SeriesParallelInstance inst{&gi.graph, gi.ears};
-    const Outcome o = run_series_parallel(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     const int pls_bits = protocol_spec(Task::series_parallel).pls_bits(gi.graph.n());
 
     int rej = 0;
     for (int s = 0; s < trials; ++s) {
       const Graph bad = series_parallel_no_instance(256, rng);
-      rej += !run_series_parallel({&bad, std::nullopt}, {3}, rng).accepted;
+      const SeriesParallelInstance no{&bad, std::nullopt};
+      rej += !run_protocol(make_instance(no), {3}, rng).accepted;
     }
     t.add_row({Table::num(std::uint64_t(gi.graph.n())), Table::num(std::uint64_t(gi.graph.m())),
                Table::num(std::uint64_t(gi.ears.size())), Table::num(o.rounds),

@@ -62,7 +62,7 @@ void BM_LrSorting(benchmark::State& state) {
   const LrSortingInstance inst = to_protocol_instance(gi);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_lr_sorting(inst, {3}, rng));
+    benchmark::DoNotOptimize(run_protocol(make_instance(inst), {3}, rng));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -75,7 +75,7 @@ void BM_PathOuterplanarity(benchmark::State& state) {
   const PathOuterplanarityInstance inst{&gi.graph, gi.order};
   Rng rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_path_outerplanarity(inst, {3}, rng));
+    benchmark::DoNotOptimize(run_protocol(make_instance(inst), {3}, rng));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -88,36 +88,26 @@ void BM_PlanarEmbedding(benchmark::State& state) {
   const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_planar_embedding(inst, {3}, rng));
+    benchmark::DoNotOptimize(run_protocol(make_instance(inst), {3}, rng));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PlanarEmbedding)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 15);
 
-// Centralized planarity engines on the same seed-pinned random planar
-// instance: the O(n+m) Boyer–Myrvold edge-addition engine (the default behind
-// planar_embedding) against the O(n*m) Demoucron oracle. Second arg selects
-// the engine: 0 = bm, 1 = demoucron. The oracle stops at 2^13 — its quadratic
-// growth would dominate the suite's runtime; the full asymptotic sweep up to
-// 2^22 lives in bench_planarity (EXPERIMENTS.md E-EMBED).
+// Centralized planarity: the O(n+m) Boyer–Myrvold edge-addition engine behind
+// planar_embedding, on a seed-pinned random planar instance. The comparison
+// with the O(n*m) Demoucron oracle lives in bench_planarity (EXPERIMENTS.md
+// E-EMBED).
 void BM_Planarity(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const PlanarityEngine engine =
-      state.range(1) == 0 ? PlanarityEngine::kBoyerMyrvold : PlanarityEngine::kDemoucron;
   Rng gen_rng(45);
   const auto gi = random_planar(n, 0.4, gen_rng);
-  state.SetLabel(engine == PlanarityEngine::kBoyerMyrvold ? "bm" : "demoucron");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planar_embedding(gi.graph, engine));
+    benchmark::DoNotOptimize(planar_embedding(gi.graph));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Planarity)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 13, 0})
-    ->Args({1 << 13, 1})
-    ->Args({1 << 17, 0});
+BENCHMARK(BM_Planarity)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 17);
 
 // Thread scaling of the parallel verification engine at the largest
 // LR-sorting size. On a single-core host all entries coincide; on multicore
@@ -130,7 +120,7 @@ void BM_LrSortingThreads(benchmark::State& state) {
   Rng rng(1);
   set_parallel_threads(threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_lr_sorting(inst, {3}, rng));
+    benchmark::DoNotOptimize(run_protocol(make_instance(inst), {3}, rng));
   }
   set_parallel_threads(0);
   state.SetItemsProcessed(state.iterations() * (1 << 17));

@@ -22,13 +22,14 @@ int main() {
     const int blocks = std::max(2, logn / 2);
     const Tw2CertInstance gi = random_treewidth2_with_cert(n, blocks, rng);
     const Treewidth2Instance inst{&gi.graph, gi.block_ears};
-    const Outcome o = run_treewidth2(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     const int pls_bits = protocol_spec(Task::treewidth2).pls_bits(gi.graph.n());
 
     int rej = 0;
     for (int s = 0; s < trials; ++s) {
       const Graph bad = treewidth2_no_instance(256, 3, rng);
-      rej += !run_treewidth2({&bad, std::nullopt}, {3}, rng).accepted;
+      const Treewidth2Instance no{&bad, std::nullopt};
+      rej += !run_protocol(make_instance(no), {3}, rng).accepted;
     }
     t.add_row({Table::num(std::uint64_t(gi.graph.n())), Table::num(blocks),
                Table::num(o.rounds), Table::num(o.proof_size_bits), Table::num(pls_bits),

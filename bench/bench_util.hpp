@@ -3,33 +3,35 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "graph/degeneracy.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace lrdip::bench {
 
+/// Integer knob from the environment variable `name`: the whole value must be
+/// a number in [lo, hi]; unset, junk ("12x") or out of range yields `def`.
+inline int env_int(const char* name, int lo, int hi, int def) {
+  const char* env = std::getenv(name);
+  const std::optional<int> v = env != nullptr ? parse_number<int>(env) : std::nullopt;
+  return v && *v >= lo && *v <= hi ? *v : def;
+}
+
 /// Scale knob: benchmarks sweep n in powers of two up to this (default 2^18;
 /// override with LRDIP_BENCH_MAX_LOG_N).
 inline int max_log_n(int def = 18) {
-  if (const char* env = std::getenv("LRDIP_BENCH_MAX_LOG_N")) {
-    const int v = std::atoi(env);
-    if (v >= 6 && v <= 24) return v;
-  }
-  return def;
+  return env_int("LRDIP_BENCH_MAX_LOG_N", 6, 24, def);
 }
 
 inline int soundness_trials(int def = 40) {
-  if (const char* env = std::getenv("LRDIP_BENCH_TRIALS")) {
-    const int v = std::atoi(env);
-    if (v >= 1 && v <= 100000) return v;
-  }
-  return def;
+  return env_int("LRDIP_BENCH_TRIALS", 1, 100000, def);
 }
 
 /// Instance-to-protocol plumbing, including the precomputed accountable

@@ -11,6 +11,7 @@
 
 #include "gen/generators.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -36,11 +37,11 @@ int main(int argc, char** argv) {
     int flip_acc = 0, shift_acc = 0;
     for (int s = 0; s < trials; ++s) {
       const LrInstance no = random_lr_no(n, 1.0, 1, rng);
-      flip_acc += run_lr_sorting(to_inst(no), {c}, rng).accepted;
+      flip_acc += run_protocol(make_instance(to_inst(no)), {c}, rng).accepted;
       const LrInstance yes = random_lr_yes(n, 1.0, rng);
       LrCheatSpec cheat;
       cheat.shift_block = true;
-      shift_acc += run_lr_sorting(to_inst(yes), {c}, rng, &cheat).accepted;
+      shift_acc += run_lr_sorting_cheating(to_inst(yes), {c}, rng, cheat).accepted;
     }
     t.add_row({"flip one edge (adaptive)", Table::num(c), Table::num(flip_acc),
                Table::num(double(flip_acc) / trials, 4)});

@@ -13,6 +13,7 @@
 #include "gen/generators.hpp"
 #include "graph/rotation.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
   std::cout << "network: n=" << good.graph.n() << " m=" << good.graph.m()
             << "; every node holds a clockwise port order\n\n";
 
-  const Outcome ok = run_planar_embedding({&good.graph, &good.rotation}, {3}, rng);
+  const PlanarEmbeddingInstance honest{&good.graph, &good.rotation};
+  const Outcome ok = run_protocol(make_instance(honest), {3}, rng);
   std::cout << "audit of the correct port orders:\n"
             << "  genus-0 certified: " << (ok.accepted ? "yes" : "no") << "\n"
             << "  rounds: " << ok.rounds << ", bits/node: " << ok.proof_size_bits << "\n\n";
@@ -36,7 +38,8 @@ int main(int argc, char** argv) {
     auto bad = corrupt_rotation({good.graph, good.rotation}, 1, corrupt_rng);
     if (is_planar_embedding(bad.graph, bad.rotation)) continue;  // harmless swap
     ++corrupted_runs;
-    rejected += !run_planar_embedding({&bad.graph, &bad.rotation}, {3}, rng).accepted;
+    const PlanarEmbeddingInstance swapped{&bad.graph, &bad.rotation};
+    rejected += !run_protocol(make_instance(swapped), {3}, rng).accepted;
   }
   std::cout << "audits after a single bad port swap (8 distinct corruptions):\n"
             << "  rejected: " << rejected << "/" << corrupted_runs << "\n\n"

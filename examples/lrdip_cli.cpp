@@ -9,15 +9,15 @@
 //         [--seed S] [--c C] [--json]
 //   lrdip shard-gen <family> <n> <shards> <out-dir> [--seed S] [--cols C]
 //   lrdip shard-verify <manifest> [--coin-seed S] [--json] [--no-drop-behind]
-//   lrdip planarity <graph-file> [--engine bm|demoucron] [--json]
+//   lrdip planarity <graph-file> [--json]
 //   lrdip run <task> <graph-file> [...]
 //   lrdip list-tasks
 //
 // `planarity` is the centralized engine, not the interactive protocol: it
-// prints the Boyer–Myrvold (or Demoucron) verdict with embedding stats on
-// planar inputs and the extracted Kuratowski witness (K5 / K3,3 subdivision,
-// as edge ids) on non-planar ones. Because the token shadows the planarity
-// *task*, `lrdip run <task> <graph>` invokes any task's interactive protocol
+// prints the Boyer–Myrvold verdict with embedding stats on planar inputs and
+// the extracted Kuratowski witness (K5 / K3,3 subdivision, as edge ids) on
+// non-planar ones. Because the token shadows the planarity *task*,
+// `lrdip run <task> <graph>` invokes any task's interactive protocol
 // unambiguously.
 //
 // shard-gen/shard-verify are the scale substrate (graph/shard.hpp): shard-gen
@@ -44,8 +44,9 @@
 // Exit codes are a contract (scripts and the ctest smokes branch on them):
 //   0  the verification accepted (or the subcommand completed);
 //   1  the verification rejected (an answer, not an error);
-//   2  usage or malformed input: bad flags, unknown tasks, graph files that
-//      do not parse, manifests or certificates the task cannot use;
+//   2  usage or malformed input: bad flags, numbers that do not parse as a
+//      whole, unknown tasks, graph files that do not parse or are not simple,
+//      manifests or certificates the task cannot use;
 //   3  internal error — anything that is the tool's fault, not the input's.
 #include <array>
 #include <cstring>
@@ -66,10 +67,10 @@
 #include "graph/boyer_myrvold.hpp"
 #include "graph/io.hpp"
 #include "graph/kuratowski.hpp"
-#include "graph/planarity.hpp"
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/registry.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -94,7 +95,7 @@ int usage() {
                "        [--n N] [--trials T (default 24)] [--seed S] [--c C] [--json]\n"
                "  lrdip shard-gen <family> <n> <shards> <out-dir> [--seed S] [--cols C]\n"
                "  lrdip shard-verify <manifest> [--coin-seed S] [--json] [--no-drop-behind]\n"
-               "  lrdip planarity <graph-file> [--engine bm|demoucron] [--json]\n"
+               "  lrdip planarity <graph-file> [--json]\n"
                "  lrdip run <task> <graph-file> [options as above]\n"
                "  lrdip list-tasks\n"
                "tasks:    "
@@ -128,9 +129,15 @@ struct Options {
   std::uint64_t coin_seed = 1;
   std::uint64_t cols = 0;
   bool drop_behind = true;
-  // planarity subcommand only:
-  std::string engine = "bm";
 };
+
+/// The whole of `text` as a number, or a UsageError naming `what`.
+template <typename T>
+T number_or_usage(const std::string& what, const std::string& text) {
+  const std::optional<T> v = parse_number<T>(text);
+  if (!v) throw UsageError(what + " expects a number, got '" + text + "'");
+  return *v;
+}
 
 std::uint32_t parse_models(const std::string& spec) {
   if (spec == "all") return kAllFaultModels;
@@ -155,17 +162,17 @@ Options parse_options(int argc, char** argv, int from) {
       return argv[++i];
     };
     if (a == "--seed") {
-      opt.seed = std::stoull(next());
+      opt.seed = number_or_usage<std::uint64_t>(a, next());
     } else if (a == "--c") {
-      opt.c = std::stoi(next());
+      opt.c = number_or_usage<int>(a, next());
     } else if (a == "--trials") {
-      opt.trials = std::stoi(next());
+      opt.trials = number_or_usage<int>(a, next());
     } else if (a == "--threads") {
-      opt.threads = std::stoi(next());
+      opt.threads = number_or_usage<int>(a, next());
     } else if (a == "--rate") {
-      opt.rate = std::stod(next());
+      opt.rate = number_or_usage<double>(a, next());
     } else if (a == "--fault-seed") {
-      opt.fault_seed = std::stoull(next());
+      opt.fault_seed = number_or_usage<std::uint64_t>(a, next());
     } else if (a == "--models") {
       opt.models_arg = next();
       opt.models = parse_models(opt.models_arg);
@@ -179,20 +186,15 @@ Options parse_options(int argc, char** argv, int from) {
     } else if (a == "--strategy") {
       opt.strategy = next();
     } else if (a == "--n") {
-      opt.n = std::stoi(next());
+      opt.n = number_or_usage<int>(a, next());
     } else if (a == "--json") {
       opt.json = true;
     } else if (a == "--coin-seed") {
-      opt.coin_seed = std::stoull(next());
+      opt.coin_seed = number_or_usage<std::uint64_t>(a, next());
     } else if (a == "--cols") {
-      opt.cols = std::stoull(next());
+      opt.cols = number_or_usage<std::uint64_t>(a, next());
     } else if (a == "--no-drop-behind") {
       opt.drop_behind = false;
-    } else if (a == "--engine") {
-      opt.engine = next();
-      if (opt.engine != "bm" && opt.engine != "demoucron") {
-        throw UsageError("--engine expects bm or demoucron");
-      }
     } else {
       throw UsageError("unknown option: " + a);
     }
@@ -461,10 +463,10 @@ int run_shard_gen(const std::string& family_name, const std::string& n_str,
   }
   ShardParams params;
   params.family = *family;
-  params.n = std::stoull(n_str);
+  params.n = number_or_usage<std::uint64_t>("shard-gen <n>", n_str);
   params.seed = opt.seed;
   params.cols = opt.cols;
-  const std::uint64_t count = std::stoull(shards_str);
+  const std::uint64_t count = number_or_usage<std::uint64_t>("shard-gen <shards>", shards_str);
   const ShardLimits limits;
   if (params.n == 0 || params.n > limits.max_nodes) {
     throw UsageError("n out of range (max " + std::to_string(limits.max_nodes) + ")");
@@ -531,32 +533,21 @@ int run_shard_verify(const std::string& manifest_arg, const Options& opt) {
 int run_planarity_check(const std::string& path, const Options& opt) {
   const GraphFile gf = read_graph_file(path);
   const Graph& g = gf.graph;
+  if (!g.is_simple()) throw UsageError("planarity needs a simple graph (found a parallel edge)");
 
-  bool planar = false;
-  int faces = 0;
-  std::vector<EdgeId> witness;
+  const PlanarityResult res = boyer_myrvold(g, BmOutput::kEmbeddingOrWitness);
+  const bool planar = res.planar;
+  const int faces = planar ? count_faces(g, *res.embedding) : 0;
+  const std::vector<EdgeId>& witness = res.witness;
   std::string kind;
-  if (opt.engine == "demoucron") {
-    const auto emb = planar_embedding(g, PlanarityEngine::kDemoucron);
-    planar = emb.has_value();
-    if (planar) faces = count_faces(g, *emb);
-  } else {
-    const PlanarityResult res = boyer_myrvold(g, BmOutput::kEmbeddingOrWitness);
-    planar = res.planar;
-    if (planar) {
-      faces = count_faces(g, *res.embedding);
-    } else {
-      witness = res.witness;
-      kind = classify_kuratowski(g, witness) == KuratowskiKind::kK5 ? "K5" : "K3,3";
-    }
-  }
+  if (!planar) kind = classify_kuratowski(g, witness) == KuratowskiKind::kK5 ? "K5" : "K3,3";
 
   if (opt.json) {
     std::cout << "{\"planar\": " << (planar ? "true" : "false") << ", \"n\": " << g.n()
-              << ", \"m\": " << g.m() << ", \"engine\": \"" << opt.engine << "\"";
+              << ", \"m\": " << g.m();
     if (planar) {
       std::cout << ", \"faces\": " << faces;
-    } else if (!witness.empty()) {
+    } else {
       std::cout << ", \"witness_kind\": \"" << kind << "\", \"witness_edges\": [";
       for (std::size_t i = 0; i < witness.size(); ++i) {
         std::cout << (i ? ", " : "") << witness[i];
@@ -567,10 +558,10 @@ int run_planarity_check(const std::string& path, const Options& opt) {
   }
   std::ostream& os = opt.json ? std::cerr : std::cout;
   os << "planarity: " << (planar ? "PLANAR" : "NON-PLANAR") << "  n=" << g.n()
-     << "  m=" << g.m() << "  engine=" << opt.engine;
+     << "  m=" << g.m();
   if (planar) {
     os << "  faces=" << faces;
-  } else if (!witness.empty()) {
+  } else {
     os << "  witness=" << kind << " subdivision (" << witness.size() << " edges):";
     for (const EdgeId e : witness) {
       const auto [u, v] = g.endpoints(e);
@@ -604,7 +595,8 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     if (cmd == "gen") {
       if (argc < 5) return usage();
-      return run_gen(argv[2], std::stoi(argv[3]), argv[4], parse_options(argc, argv, 5));
+      return run_gen(argv[2], number_or_usage<int>("gen <n>", argv[3]), argv[4],
+                     parse_options(argc, argv, 5));
     }
     if (cmd == "faults") {
       if (argc < 4) return usage();
@@ -640,9 +632,7 @@ int main(int argc, char** argv) {
     // 2 (usage, unparsable numbers, graph files that do not parse), the
     // tool's fault is 3.
     if (dynamic_cast<const UsageError*>(&ex) != nullptr ||
-        dynamic_cast<const GraphParseError*>(&ex) != nullptr ||
-        dynamic_cast<const std::invalid_argument*>(&ex) != nullptr ||
-        dynamic_cast<const std::out_of_range*>(&ex) != nullptr) {
+        dynamic_cast<const GraphParseError*>(&ex) != nullptr) {
       return 2;
     }
     return 3;

@@ -1,6 +1,6 @@
 // Quickstart: build a small outerplanar graph by hand and certify it with the
 // 5-round distributed interactive proof of Theorem 1.3, comparing against the
-// one-round Theta(log n) proof labeling baseline.
+// label width of the one-round Theta(log n) proof labeling baseline.
 //
 //   $ ./quickstart
 #include <iostream>
@@ -8,6 +8,7 @@
 #include "gen/generators.hpp"
 #include "graph/outerplanar.hpp"
 #include "protocols/outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 int main() {
@@ -27,7 +28,7 @@ int main() {
 
   Rng rng(2025);
   OuterplanarityInstance inst{&g, std::vector<std::vector<NodeId>>{cycle}};
-  const Outcome dip = run_outerplanarity(inst, {3}, rng);
+  const Outcome dip = run_protocol(make_instance(inst), {3}, rng);
 
   std::cout << "distributed interactive proof (Gil-Parter, Theorem 1.3):\n"
             << "  rounds            : " << dip.rounds << "\n"
@@ -36,11 +37,10 @@ int main() {
             << "  total label bits  : " << dip.total_label_bits << "\n"
             << "  verifier coin bits: " << dip.max_coin_bits << " (max per node)\n\n";
 
-  const Outcome pls = run_outerplanarity_baseline_pls(inst);
   std::cout << "one-round proof labeling baseline (BFP24-style):\n"
-            << "  rounds    : " << pls.rounds << "\n"
-            << "  accepted  : " << (pls.accepted ? "yes" : "no") << "\n"
-            << "  proof size: " << pls.proof_size_bits << " bits/node\n\n";
+            << "  rounds    : 1\n"
+            << "  proof size: " << protocol_spec(Task::outerplanar).pls_bits(g.n())
+            << " bits/node\n\n";
 
   std::cout << "interaction buys label size O(log log n) instead of Theta(log n);\n"
             << "at this toy size the constants dominate — run bench_separation for\n"

@@ -12,6 +12,7 @@
 
 #include "gen/generators.hpp"
 #include "graph/series_parallel.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
 #include "support/rng.hpp"
 
@@ -26,7 +27,8 @@ int main(int argc, char** argv) {
   // --- Act 1: the topology really is treewidth <= 2 and the coordinator is
   // honest (it holds the construction certificates).
   const Tw2CertInstance good = random_treewidth2_with_cert(n, 8, rng);
-  const Outcome honest = run_treewidth2({&good.graph, good.block_ears}, {3}, rng);
+  const Treewidth2Instance certified{&good.graph, good.block_ears};
+  const Outcome honest = run_protocol(make_instance(certified), {3}, rng);
   std::cout << "honest coordinator, compliant topology (n=" << good.graph.n()
             << ", m=" << good.graph.m() << "):\n"
             << "  verdict      : " << (honest.accepted ? "CERTIFIED" : "REJECTED") << "\n"
@@ -40,7 +42,8 @@ int main(int argc, char** argv) {
   int rejected = 0;
   const int audits = 10;
   for (int i = 0; i < audits; ++i) {
-    rejected += !run_treewidth2({&bad, std::nullopt}, {3}, rng).accepted;
+    const Treewidth2Instance patched{&bad, std::nullopt};
+    rejected += !run_protocol(make_instance(patched), {3}, rng).accepted;
   }
   std::cout << "  audits run   : " << audits << "\n"
             << "  rejected     : " << rejected << "/" << audits << "\n\n";

@@ -13,7 +13,7 @@
 // prover actually sent) plus recorded coin slots; it never reshapes a store.
 // Under the hardened decode path (dip/verdict.hpp) every such mutation must
 // yield a local reject verdict or a semantically identical transcript —
-// never an exception out of run_*.
+// never an exception out of run_protocol.
 #pragma once
 
 #include <array>

@@ -4,17 +4,17 @@
 
 #include "dip/cancel.hpp"
 #include <atomic>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "support/parse.hpp"
 
 namespace lrdip {
 namespace {
@@ -24,10 +24,8 @@ std::atomic<int> g_forced_threads{0};
 int default_threads() {
   if (const char* env = std::getenv("LRDIP_THREADS")) {
     // The whole value must be a number in range; junk and overflow fall back.
-    const char* end = env + std::strlen(env);
-    int v = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, v);
-    if (ec == std::errc() && ptr == end && v >= 1 && v <= 1024) return v;
+    const std::optional<int> v = parse_number<int>(env);
+    if (v && *v >= 1 && *v <= 1024) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

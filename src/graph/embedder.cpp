@@ -6,6 +6,7 @@
 #include <set>
 
 #include "graph/algorithms.hpp"
+#include "graph/biconnected.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -272,6 +273,55 @@ RotationSystem rotation_from_faces(const Graph& g, const FaceList& faces) {
       e = succ[v].at(e);
     }
     LRDIP_CHECK_MSG(e == order[v].front(), "rotation at node is not a single cycle");
+  }
+  return RotationSystem(g, std::move(order));
+}
+
+namespace {
+
+/// Embeds one connected graph; returns per-node rotation orders or nullopt.
+std::optional<std::vector<std::vector<EdgeId>>> embed_connected(const Graph& g) {
+  std::vector<std::vector<EdgeId>> order(g.n());
+  if (g.m() == 0) return order;
+  const auto decomp = biconnected_components(g);
+  for (int b = 0; b < decomp.num_components(); ++b) {
+    const Subgraph sub =
+        make_subgraph(g, decomp.component_nodes[b], decomp.component_edges[b]);
+    const auto faces = demoucron_embed(sub.graph);
+    if (!faces) return std::nullopt;
+    const RotationSystem rot = rotation_from_faces(sub.graph, *faces);
+    for (NodeId v = 0; v < sub.graph.n(); ++v) {
+      const NodeId host = sub.node_to_orig[v];
+      for (EdgeId e : rot.order_at(v)) order[host].push_back(sub.edge_to_orig[e]);
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
+std::optional<RotationSystem> demoucron_planar_embedding(const Graph& g) {
+  if (g.n() >= 3 && g.m() > 3 * g.n() - 6) return std::nullopt;
+
+  auto [comp, ncomp] = components(g);
+  std::vector<std::vector<EdgeId>> order(g.n());
+  for (int c = 0; c < ncomp; ++c) {
+    std::vector<NodeId> nodes;
+    std::vector<EdgeId> edges;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      if (comp[v] == c) nodes.push_back(v);
+    }
+    for (EdgeId e = 0; e < g.m(); ++e) {
+      if (comp[g.endpoints(e).first] == c) edges.push_back(e);
+    }
+    const Subgraph sub = make_subgraph(g, nodes, edges);
+    const auto sub_order = embed_connected(sub.graph);
+    if (!sub_order) return std::nullopt;
+    for (NodeId v = 0; v < sub.graph.n(); ++v) {
+      for (EdgeId e : (*sub_order)[v]) {
+        order[sub.node_to_orig[v]].push_back(sub.edge_to_orig[e]);
+      }
+    }
   }
   return RotationSystem(g, std::move(order));
 }

@@ -3,9 +3,10 @@
 // The embedder maintains the face set of an embedded subgraph H and repeatedly
 // places a path of some fragment (bridge) of G relative to H into an
 // admissible face. It either produces the list of faces of a planar embedding
-// or reports that G is non-planar. O(n * m) — used for centralized baselines,
-// honest-prover preprocessing of certificate-free inputs, and tests; the large
-// benchmark instances come with generator-provided embeddings instead.
+// or reports that G is non-planar. O(n * m). Production code embeds with
+// Boyer–Myrvold (graph/planarity.hpp); this embedder stays as the independent
+// oracle the differential fuzz, the cross-validation tests and the E-EMBED
+// bench sweep compare against, and as the generators' face-list helper.
 #pragma once
 
 #include <optional>
@@ -27,5 +28,10 @@ std::optional<FaceList> demoucron_embed(const Graph& g);
 /// Converts the face list of a biconnected planar embedding into a rotation
 /// system on g.
 RotationSystem rotation_from_faces(const Graph& g, const FaceList& faces);
+
+/// Whole-graph Demoucron oracle: components -> biconnected blocks -> face
+/// expansion -> rotation merge at cut vertices. A genus-0 rotation system for
+/// the simple graph g, or nullopt if g is non-planar.
+std::optional<RotationSystem> demoucron_planar_embedding(const Graph& g);
 
 }  // namespace lrdip

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "support/check.hpp"
 
@@ -31,10 +30,14 @@ EdgeId Graph::find_edge(NodeId u, NodeId v) const {
 }
 
 bool Graph::is_simple() const {
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (const auto& [u, v] : edges_) {
-    const std::pair<NodeId, NodeId> key(std::min(u, v), std::max(u, v));
-    if (!seen.insert(key).second) return false;
+  // seen_from[w] == v + 1 marks w as already met in v's adjacency list, so
+  // the scan is O(n + m) with one allocation.
+  std::vector<NodeId> seen_from(adj_.size(), 0);
+  for (NodeId v = 0; v < n(); ++v) {
+    for (const Half& h : adj_[v]) {
+      if (seen_from[h.to] == v + 1) return false;
+      seen_from[h.to] = v + 1;
+    }
   }
   return true;
 }

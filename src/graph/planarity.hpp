@@ -1,11 +1,10 @@
 // General-graph planarity testing and embedding.
 //
-// Two engines sit behind one seam:
-//  * kBoyerMyrvold (default) — the O(n + m) edge-addition engine from
-//    src/graph/boyer_myrvold.*. Verdicts never materialize rotations, and
-//    embeddings come straight out of the engine's relative arc lists.
-//  * kDemoucron — the O(n * m) face-expansion embedder retained as an
-//    independent cross-check oracle (differential fuzz, CI sanitizer legs).
+// Both answers come from the O(n + m) edge-addition engine in
+// src/graph/boyer_myrvold.*. Verdicts never materialize rotations, and
+// embeddings come straight out of the engine's relative arc lists. The
+// O(n * m) Demoucron embedder (graph/embedder.hpp) is not behind this API: it
+// is an independent oracle that tests and benches call directly.
 #pragma once
 
 #include <optional>
@@ -15,20 +14,12 @@
 
 namespace lrdip {
 
-/// Which planarity engine answers the query.
-enum class PlanarityEngine {
-  kBoyerMyrvold,
-  kDemoucron,
-};
-
-/// True iff g (connected or not) is planar. The default engine answers
-/// without building any rotation system.
-bool is_planar(const Graph& g,
-               PlanarityEngine engine = PlanarityEngine::kBoyerMyrvold);
+/// True iff g (connected or not) is planar, without building any rotation
+/// system.
+bool is_planar(const Graph& g);
 
 /// A genus-0 rotation system for g, or nullopt if g is non-planar.
 /// g must be simple.
-std::optional<RotationSystem> planar_embedding(
-    const Graph& g, PlanarityEngine engine = PlanarityEngine::kBoyerMyrvold);
+std::optional<RotationSystem> planar_embedding(const Graph& g);
 
 }  // namespace lrdip

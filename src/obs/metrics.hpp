@@ -15,8 +15,8 @@
 // enabled, hooks take a registry mutex; observability runs trade a few
 // percent of wall time for the numbers.
 //
-// Scoping model: a RunScope brackets one protocol execution. run_* entry
-// points open one (nested run_* calls attach to the already-open run, so a
+// Scoping model: a RunScope brackets one protocol execution. Every task run
+// opens one (a scope opened inside an active run attaches to it, so a
 // composite protocol's sub-stages report into its parent's record), stages
 // time themselves with ScopedTimer, stores report label/coin writes, the
 // parallel engine reports per-thread busy time, and finalize() stamps the
@@ -144,7 +144,7 @@ class MetricsRegistry {
   void set_enabled(bool on);
 
   /// Opens a run. Returns false (and changes nothing) when a run is already
-  /// active — nested run_* calls report into the enclosing run.
+  /// active — nested executions report into the enclosing run.
   bool begin_run(std::string task, int n, int m);
   /// Closes the active run, stamps its wall time and moves it to the
   /// completed list.
@@ -203,7 +203,7 @@ inline void on_coins_recorded(int round, int words, int bits) {
 std::int64_t now_ns();
 
 /// Brackets one protocol execution. The outermost scope owns the run; inner
-/// scopes (nested run_* calls) are no-ops whose metering lands in the
+/// scopes (nested executions) are no-ops whose metering lands in the
 /// enclosing run. Does nothing when metering is disabled.
 class RunScope {
  public:

@@ -11,7 +11,6 @@
 #include "field/primes.hpp"
 #include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
-#include "protocols/registry.hpp"
 #include "support/bits.hpp"
 #include "support/check.hpp"
 
@@ -153,11 +152,10 @@ LrSortingInstance as_lr_sorting(const LogStarPlanarityInstance& inst) {
   return {inst.graph, inst.order, inst.tail, inst.accountable};
 }
 
-StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
-                                     const LogStarParams& params, Rng& rng,
-                                     FaultInjector* faults) {
+StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst, const RunOptions& opt,
+                                     Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("log_star_planarity_stage");
-  (void)params;  // fixed base field; see the header
+  (void)opt;  // fixed base field; see RunOptions
   const Graph& g = *inst.graph;
   const int n = g.n();
   LRDIP_CHECK(n >= 2);
@@ -582,17 +580,6 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
   }
   out.coin_bits[leftmost] = (levels + 1) * qbits;
   return out;
-}
-
-Outcome run_log_star_planarity(const LogStarPlanarityInstance& inst, const LogStarParams& params,
-                               Rng& rng, FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_log_star_planarity_baseline_pls(const LogStarPlanarityInstance& inst) {
-  const obs::RunScope run("log-star-planarity-baseline-pls", inst.graph->n(), inst.graph->m());
-  const LrSortingInstance lr = as_lr_sorting(inst);
-  return finalize(lr_trivial_position_stage(lr, nullptr));
 }
 
 }  // namespace lrdip

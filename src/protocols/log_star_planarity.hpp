@@ -82,13 +82,6 @@ struct LogStarPlanarityInstance {
   std::vector<NodeId> accountable;
 };
 
-struct LogStarParams {
-  /// Accepted for registry uniformity. The recursion runs over one fixed
-  /// 7-bit field regardless of c — constant proof size is the point; the
-  /// paper amplifies soundness by repetition, not by growing the field.
-  int c = 3;
-};
-
 /// Tower sizes B_1, ..., B_L for path length n (empty when the trivial
 /// fallback runs). B_1 = ceil(log2 n), B_{k+1} = ceil(log2 (2 B_k)),
 /// stopping once B_k <= 4; L is Theta(log* n).
@@ -101,21 +94,15 @@ int log_star_levels(int n);
 int log_star_rounds(int n);
 
 /// Borrow the certificate payload as the shared LR instance shape (used by
-/// the trivial fallback and the PLS baseline).
+/// the trivial fallback).
 LrSortingInstance as_lr_sorting(const LogStarPlanarityInstance& inst);
 
 /// `faults`, when non-null, corrupts the recorded transcript (structure
 /// labels, edge divergence labels, chain labels, public coins) between prover
 /// and verifier; the hardened decode rejects locally and never throws.
-StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst,
-                                     const LogStarParams& params, Rng& rng,
-                                     FaultInjector* faults = nullptr);
-
-Outcome run_log_star_planarity(const LogStarPlanarityInstance& inst, const LogStarParams& params,
-                               Rng& rng, FaultInjector* faults = nullptr);
-
-/// Baseline: the shared trivial one-round position-labeling scheme
-/// (Theta(log n) bits) — the separation comparison point.
-Outcome run_log_star_planarity_baseline_pls(const LogStarPlanarityInstance& inst);
+/// `opt.c` is ignored: the recursion runs over one fixed 7-bit field, since
+/// constant proof size is the point (soundness is amplified by repetition).
+StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst, const RunOptions& opt,
+                                     Rng& rng, FaultInjector* faults = nullptr);
 
 }  // namespace lrdip

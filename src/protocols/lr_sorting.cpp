@@ -11,7 +11,6 @@
 #include "field/primes.hpp"
 #include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
-#include "protocols/registry.hpp"
 #include "support/bits.hpp"
 #include "support/check.hpp"
 
@@ -72,12 +71,12 @@ PathLocal path_locals(const LrSortingInstance& inst) {
 
 }  // namespace
 
-/// Trivial one-round protocol for paths too short for the block machinery,
-/// and the O(log n) PLS baseline: label every node with its position. The
-/// labels go through a store so the fault seam covers the degenerate path
-/// too, and the +-1 chain checks the preamble alludes to are explicit — the
-/// decision runs on decoded positions, not the ground truth. Exported: the
-/// log-star protocol shares it as its short-path fallback and PLS baseline.
+/// Trivial one-round protocol for paths too short for the block machinery:
+/// label every node with its position. The labels go through a store so the
+/// fault seam covers the degenerate path too, and the +-1 chain checks the
+/// preamble alludes to are explicit — the decision runs on decoded
+/// positions, not the ground truth. Exported: the log-star protocol shares it
+/// as its short-path fallback.
 StageResult lr_trivial_position_stage(const LrSortingInstance& inst, FaultInjector* faults) {
   const obs::ScopedTimer timer("trivial_position_protocol");
   const Graph& g = *inst.graph;
@@ -196,7 +195,7 @@ CommitCsr build_commit_csr(const Graph& g, const std::vector<NodeId>& tail,
 
 }  // namespace
 
-StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& params, Rng& rng,
+StageResult lr_sorting_stage(const LrSortingInstance& inst, const RunOptions& opt, Rng& rng,
                              const LrCheatSpec* cheat, FaultInjector* faults) {
   const obs::ScopedTimer timer("lr_sorting_stage");
   const Graph& g = *inst.graph;
@@ -210,7 +209,7 @@ StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& para
 
   // Fields. p > max(log^c n, 2B + 2); p' > p * B.
   const double logn = std::log2(static_cast<double>(n));
-  const auto pc = static_cast<std::uint64_t>(std::pow(logn, params.c));
+  const auto pc = static_cast<std::uint64_t>(std::pow(logn, opt.c));
   const Fp f(cached_prime_above(std::max<std::uint64_t>(pc, 2 * B + 2)));
   const Fp f2(cached_prime_above(f.modulus() * static_cast<std::uint64_t>(B)));
   const int fbits = f.element_bits();
@@ -791,21 +790,10 @@ StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& para
   return out;
 }
 
-Outcome run_lr_sorting(const LrSortingInstance& inst, const LrParams& params, Rng& rng,
-                       const LrCheatSpec* cheat, FaultInjector* faults) {
-  if (cheat != nullptr) {
-    // Cheating provers are a soundness-experiment knob, not a task variant;
-    // the registry path stays cheat-free and this branch keeps the exact
-    // pre-registry execution for the experiments.
-    const obs::RunScope run("lr-sorting", inst.graph->n(), inst.graph->m());
-    return finalize(lr_sorting_stage(inst, params, rng, cheat, faults));
-  }
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_lr_sorting_baseline_pls(const LrSortingInstance& inst) {
-  const obs::RunScope run("lr-sorting-baseline-pls", inst.graph->n(), inst.graph->m());
-  return finalize(lr_trivial_position_stage(inst, nullptr));
+Outcome run_lr_sorting_cheating(const LrSortingInstance& inst, const RunOptions& opt, Rng& rng,
+                                const LrCheatSpec& cheat) {
+  const obs::RunScope run("lr-sorting", inst.graph->n(), inst.graph->m());
+  return finalize(lr_sorting_stage(inst, opt, rng, &cheat));
 }
 
 }  // namespace lrdip

@@ -63,11 +63,6 @@ struct LrSortingInstance {
   std::vector<NodeId> accountable;
 };
 
-struct LrParams {
-  /// Soundness exponent: the PIT fields have p > log^c n elements.
-  int c = 3;
-};
-
 /// Optional adversarial deviations beyond the instance's own lie. Each knob
 /// targets one verification stage, so the soundness experiments can attribute
 /// rejections.
@@ -90,21 +85,19 @@ inline constexpr int kLrSortingRounds = 5;
 /// block labels, edge commitments, chain labels, public coins) between prover
 /// and verifier; the hardened decode rejects locally with a per-node
 /// RejectReason and never throws.
-StageResult lr_sorting_stage(const LrSortingInstance& inst, const LrParams& params, Rng& rng,
+StageResult lr_sorting_stage(const LrSortingInstance& inst, const RunOptions& opt, Rng& rng,
                              const LrCheatSpec* cheat = nullptr, FaultInjector* faults = nullptr);
 
-Outcome run_lr_sorting(const LrSortingInstance& inst, const LrParams& params, Rng& rng,
-                       const LrCheatSpec* cheat = nullptr, FaultInjector* faults = nullptr);
+/// One execution against a cheating prover (the soundness experiments' knob;
+/// not a task variant). Honest executions go through the registry's
+/// run_protocol; this keeps the same RunScope record and stage body.
+Outcome run_lr_sorting_cheating(const LrSortingInstance& inst, const RunOptions& opt, Rng& rng,
+                                const LrCheatSpec& cheat);
 
-/// Baseline: the trivial one-round proof labeling scheme that writes every
-/// node's path position (Theta(log n) bits). Deterministic and sound; the
-/// comparison point for the separation experiment.
-Outcome run_lr_sorting_baseline_pls(const LrSortingInstance& inst);
-
-/// The one-round position-labeling stage behind the baseline (and the short-
-/// path fallback of both LR-sorting and the log-star protocol): every node
-/// labels its path position; the decision checks the decoded +-1 chain and
-/// compares decoded positions per non-path edge.
+/// The one-round position-labeling stage (Theta(log n) bits), the short-path
+/// fallback of both LR-sorting and the log-star protocol: every node labels
+/// its path position; the decision checks the decoded +-1 chain and compares
+/// decoded positions per non-path edge.
 StageResult lr_trivial_position_stage(const LrSortingInstance& inst,
                                       FaultInjector* faults = nullptr);
 

@@ -10,10 +10,8 @@
 #include "protocols/forest_encoding.hpp"
 #include "protocols/nesting.hpp"
 #include "protocols/path_outerplanarity.hpp"
-#include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -38,14 +36,14 @@ std::optional<std::vector<NodeId>> find_certificate(
 
 }  // namespace
 
-StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpParams& params,
+StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOptions& opt,
                                  Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("outerplanarity_stage");
   const Graph& g = *inst.graph;
   const int n = g.n();
   LRDIP_CHECK(n >= 2);
-  const int ls = nesting_fragment_bits(n, params.c);
-  const int reps = po_repetitions(n, params.c);
+  const int ls = nesting_fragment_bits(n, opt.c);
+  const int reps = po_repetitions(n, opt.c);
 
   const BlockCutTree bct = block_cut_tree(g, 0);
   const int nblocks = bct.decomp.num_components();
@@ -243,7 +241,7 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
       for (NodeId v : block_path[b]) order.push_back(sub.orig_to_node[v]);
       sub_inst.prover_order = std::move(order);
     }
-    const StageResult sr = path_outerplanarity_stage(sub_inst, {params.c}, rng, faults);
+    const StageResult sr = path_outerplanarity_stage(sub_inst, opt, rng, faults);
     // Map accounting and decisions back; the separating node's labels are
     // deferred to its neighbors inside the block.
     const NodeId sep = bct.separating_node[b];
@@ -273,40 +271,6 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpPar
 
   result.rounds = std::max(result.rounds, kOuterplanarityRounds);
   return result;
-}
-
-Outcome run_outerplanarity(const OuterplanarityInstance& inst, const OpParams& params, Rng& rng,
-                           FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_biconnected_outerplanarity(const Graph& g,
-                                       const std::optional<std::vector<NodeId>>& cycle,
-                                       const OpParams& params, Rng& rng, FaultInjector* faults) {
-  std::optional<std::vector<NodeId>> ham = cycle;
-  if (!ham) ham = outerplanar_hamiltonian_cycle(g);
-  PathOuterplanarityInstance sub;
-  sub.graph = &g;
-  bool closing_edge = false;
-  if (ham && static_cast<int>(ham->size()) == g.n()) {
-    sub.prover_order = *ham;
-    closing_edge = g.has_edge(ham->front(), ham->back());
-  }
-  Outcome o = run_path_outerplanarity(sub, {params.c}, rng);
-  // Theorem 6.1's extra condition: the path endpoints close a cycle.
-  if (!closing_edge) o.accepted = false;
-  return o;
-}
-
-Outcome run_outerplanarity_baseline_pls(const OuterplanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_outerplanar(g);  // centralized oracle for the PLS decision
-  return o;
 }
 
 }  // namespace lrdip

@@ -1,5 +1,5 @@
-// Section 6: the outerplanarity protocol (Theorem 1.3) and the biconnected
-// special case (Theorem 6.1).
+// Section 6: the outerplanarity protocol (Theorem 1.3), built on the
+// biconnected special case (Theorem 6.1).
 //
 // The prover decomposes G into its biconnected blocks glued along the
 // block-cut tree, and per block runs the biconnected-outerplanarity protocol:
@@ -42,30 +42,12 @@ struct OuterplanarityInstance {
   std::optional<std::vector<std::vector<NodeId>>> block_cycles;
 };
 
-struct OpParams {
-  int c = 3;
-};
-
 inline constexpr int kOuterplanarityRounds = 5;
 
 /// `faults`, when non-null, corrupts every recorded transcript (the
 /// component-consistency labels/fragments and all sub-stage transcripts)
 /// between prover and verifier; the hardened decisions reject locally.
-StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const OpParams& params,
+StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOptions& opt,
                                  Rng& rng, FaultInjector* faults = nullptr);
-
-Outcome run_outerplanarity(const OuterplanarityInstance& inst, const OpParams& params, Rng& rng,
-                           FaultInjector* faults = nullptr);
-
-/// Baseline (BFP24): one-round proof labeling scheme with Theta(log n) bits.
-Outcome run_outerplanarity_baseline_pls(const OuterplanarityInstance& inst);
-
-/// Theorem 6.1 standalone: biconnected outerplanarity = path-outerplanarity
-/// w.r.t. a Hamiltonian path whose endpoints are adjacent. `cycle` is the
-/// prover's Hamiltonian-cycle certificate (computed centrally if absent).
-Outcome run_biconnected_outerplanarity(const Graph& g,
-                                       const std::optional<std::vector<NodeId>>& cycle,
-                                       const OpParams& params, Rng& rng,
-                                       FaultInjector* faults = nullptr);
 
 }  // namespace lrdip

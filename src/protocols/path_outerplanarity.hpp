@@ -44,25 +44,13 @@ struct PathOuterplanarityInstance {
   std::optional<std::vector<NodeId>> prover_order;
 };
 
-struct PoParams {
-  int c = 3;  // soundness exponent, shared with the embedded LR-sorting stage
-};
-
 inline constexpr int kPathOuterplanarityRounds = 5;
 
 /// `faults`, when non-null, corrupts every recorded transcript (the forest
 /// codes of the path commitment and all sub-stage transcripts) between prover
 /// and verifier; the hardened decisions reject locally, never throw.
-StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst,
-                                      const PoParams& params, Rng& rng,
-                                      FaultInjector* faults = nullptr);
-
-Outcome run_path_outerplanarity(const PathOuterplanarityInstance& inst, const PoParams& params,
-                                Rng& rng, FaultInjector* faults = nullptr);
-
-/// Baseline (FFM+21-style): one-round proof labeling scheme with Theta(log n)
-/// bits — positions of the path plus positions of the covering edge per node.
-Outcome run_path_outerplanarity_baseline_pls(const PathOuterplanarityInstance& inst);
+StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst, const RunOptions& opt,
+                                      Rng& rng, FaultInjector* faults = nullptr);
 
 /// The amplification the protocol uses for its sub-proofs, exposed for the
 /// benchmark tables: Theta(c * log log n).

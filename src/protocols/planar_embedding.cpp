@@ -8,7 +8,6 @@
 #include "graph/planarity.hpp"
 #include "protocols/forest_encoding.hpp"
 #include "protocols/path_outerplanarity.hpp"
-#include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
 #include "support/bits.hpp"
@@ -215,7 +214,7 @@ std::vector<char> corner_order_checks(const Graph& g, const RotationSystem& rot,
   return ok;
 }
 
-StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const PeParams& params,
+StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const RunOptions& opt,
                                    Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("planar_embedding_stage");
   const Graph& g = *inst.graph;
@@ -233,7 +232,7 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
   result.coin_bits.assign(n, 0);
   result.rounds = 1;
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
-                                                         po_repetitions(n, params.c), rng, faults));
+                                                         po_repetitions(n, opt.c), rng, faults));
 
   // --- Reduce to path-outerplanarity on h(G, T, rho).
   const EulerExpansion exp =
@@ -251,7 +250,7 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
   PathOuterplanarityInstance sub;
   sub.graph = &exp.h;
   sub.prover_order = exp.path;
-  const StageResult sr = path_outerplanarity_stage(sub, {params.c}, rng, faults);
+  const StageResult sr = path_outerplanarity_stage(sub, opt, rng, faults);
 
   // --- Map decisions and accounting back to the original nodes.
   // Copy x_i(v) (i >= 1) is simulated by child c_i(v) = the owner of the copy
@@ -293,12 +292,7 @@ StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const Pe
   return result;
 }
 
-Outcome run_planar_embedding(const PlanarEmbeddingInstance& inst, const PeParams& params,
-                             Rng& rng, FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
+StageResult planarity_stage(const PlanarityInstance& inst, const RunOptions& opt, Rng& rng,
                             FaultInjector* faults) {
   const Graph& g = *inst.graph;
   // The prover picks (or fabricates) a rotation system. When no certificate
@@ -336,26 +330,8 @@ StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& param
   }
 
   PlanarEmbeddingInstance pe{&g, &rot};
-  const StageResult sr = planar_embedding_stage(pe, params, rng, faults);
+  const StageResult sr = planar_embedding_stage(pe, opt, rng, faults);
   return compose_parallel(ship, sr);
-}
-
-Outcome run_planarity(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
-                      FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_planarity_baseline_pls(const PlanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 6 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = (inst.certificate != nullptr)
-                   ? is_planar_embedding(g, *inst.certificate)
-                   : is_planar(g);
-  return o;
 }
 
 }  // namespace lrdip

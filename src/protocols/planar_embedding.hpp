@@ -35,20 +35,13 @@ struct PlanarEmbeddingInstance {
   const RotationSystem* rotation = nullptr;
 };
 
-struct PeParams {
-  int c = 3;
-};
-
 inline constexpr int kPlanarEmbeddingRounds = 5;
 
 /// `faults`, when non-null, corrupts every recorded transcript (the spanning-
 /// tree commitment and the embedded path-outerplanarity sub-protocol) between
 /// prover and verifier; the hardened decisions reject locally, never throw.
-StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const PeParams& params,
+StageResult planar_embedding_stage(const PlanarEmbeddingInstance& inst, const RunOptions& opt,
                                    Rng& rng, FaultInjector* faults = nullptr);
-
-Outcome run_planar_embedding(const PlanarEmbeddingInstance& inst, const PeParams& params,
-                             Rng& rng, FaultInjector* faults = nullptr);
 
 /// The h(G, T, rho) construction (exposed for tests / the anatomy example).
 struct EulerExpansion {
@@ -86,15 +79,8 @@ struct PlanarityInstance {
 
 /// Rotation shipping (O(log Delta) bits per edge, charged along the
 /// degeneracy orientation) composed with the embedded-planarity stage on the
-/// claimed rotation. Exposed so the protocol registry and run_planarity share
-/// one body.
-StageResult planarity_stage(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
+/// claimed rotation.
+StageResult planarity_stage(const PlanarityInstance& inst, const RunOptions& opt, Rng& rng,
                             FaultInjector* faults = nullptr);
-
-Outcome run_planarity(const PlanarityInstance& inst, const PeParams& params, Rng& rng,
-                      FaultInjector* faults = nullptr);
-
-/// Baseline (FFM+21): one-round proof labeling scheme with Theta(log n) bits.
-Outcome run_planarity_baseline_pls(const PlanarityInstance& inst);
 
 }  // namespace lrdip

@@ -14,80 +14,54 @@ namespace {
 // ------------------------------------------------------------------ run fns
 //
 // Each entry point is the task's full execution: RunScope (metrics record
-// keyed by the canonical task name) around the stage composition. The run_*
-// free functions are wrappers over these via run_protocol, so the bodies here
-// are THE protocol executions — bit-for-bit the pre-registry ones.
+// keyed by the canonical task name) around the stage composition.
 
 Outcome run_lr(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const LrSortingInstance& inst = *std::get<const LrSortingInstance*>(i.ref);
   const obs::RunScope run("lr-sorting", inst.graph->n(), inst.graph->m());
-  return finalize(lr_sorting_stage(inst, {opt.c}, rng, nullptr, faults));
+  return finalize(lr_sorting_stage(inst, opt, rng, nullptr, faults));
 }
 
 Outcome run_po(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const PathOuterplanarityInstance& inst = *std::get<const PathOuterplanarityInstance*>(i.ref);
   const obs::RunScope run("path-outerplanar", inst.graph->n(), inst.graph->m());
-  return finalize(path_outerplanarity_stage(inst, {opt.c}, rng, faults));
+  return finalize(path_outerplanarity_stage(inst, opt, rng, faults));
 }
 
 Outcome run_op(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const OuterplanarityInstance& inst = *std::get<const OuterplanarityInstance*>(i.ref);
   const obs::RunScope run("outerplanar", inst.graph->n(), inst.graph->m());
-  return finalize(outerplanarity_stage(inst, {opt.c}, rng, faults));
+  return finalize(outerplanarity_stage(inst, opt, rng, faults));
 }
 
 Outcome run_pe(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const PlanarEmbeddingInstance& inst = *std::get<const PlanarEmbeddingInstance*>(i.ref);
   const obs::RunScope run("embedding", inst.graph->n(), inst.graph->m());
-  return finalize(planar_embedding_stage(inst, {opt.c}, rng, faults));
+  return finalize(planar_embedding_stage(inst, opt, rng, faults));
 }
 
 Outcome run_pl(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const PlanarityInstance& inst = *std::get<const PlanarityInstance*>(i.ref);
   const obs::RunScope run("planarity", inst.graph->n(), inst.graph->m());
-  return finalize(planarity_stage(inst, {opt.c}, rng, faults));
+  return finalize(planarity_stage(inst, opt, rng, faults));
 }
 
 Outcome run_sp(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const SeriesParallelInstance& inst = *std::get<const SeriesParallelInstance*>(i.ref);
   const obs::RunScope run("series-parallel", inst.graph->n(), inst.graph->m());
-  return finalize(series_parallel_stage(inst, {opt.c}, rng, faults));
+  return finalize(series_parallel_stage(inst, opt, rng, faults));
 }
 
 Outcome run_tw(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const Treewidth2Instance& inst = *std::get<const Treewidth2Instance*>(i.ref);
   const obs::RunScope run("treewidth2", inst.graph->n(), inst.graph->m());
-  return finalize(treewidth2_stage(inst, {opt.c}, rng, faults));
+  return finalize(treewidth2_stage(inst, opt, rng, faults));
 }
 
 Outcome run_ls(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
   const LogStarPlanarityInstance& inst = *std::get<const LogStarPlanarityInstance*>(i.ref);
   const obs::RunScope run("log-star-planarity", inst.graph->n(), inst.graph->m());
-  return finalize(log_star_planarity_stage(inst, {opt.c}, rng, faults));
-}
-
-// ------------------------------------------------------------ PLS baselines
-
-Outcome pls_lr(const Instance& i) {
-  return run_lr_sorting_baseline_pls(*std::get<const LrSortingInstance*>(i.ref));
-}
-Outcome pls_po(const Instance& i) {
-  return run_path_outerplanarity_baseline_pls(*std::get<const PathOuterplanarityInstance*>(i.ref));
-}
-Outcome pls_op(const Instance& i) {
-  return run_outerplanarity_baseline_pls(*std::get<const OuterplanarityInstance*>(i.ref));
-}
-Outcome pls_pl(const Instance& i) {
-  return run_planarity_baseline_pls(*std::get<const PlanarityInstance*>(i.ref));
-}
-Outcome pls_sp(const Instance& i) {
-  return run_series_parallel_baseline_pls(*std::get<const SeriesParallelInstance*>(i.ref));
-}
-Outcome pls_tw(const Instance& i) {
-  return run_treewidth2_baseline_pls(*std::get<const Treewidth2Instance*>(i.ref));
-}
-Outcome pls_ls(const Instance& i) {
-  return run_log_star_planarity_baseline_pls(*std::get<const LogStarPlanarityInstance*>(i.ref));
+  return finalize(log_star_planarity_stage(inst, opt, rng, faults));
 }
 
 // Textbook one-round PLS label widths (the E-SEP comparison column).
@@ -405,22 +379,22 @@ BoundInstance near_no_ls(int n, Rng& rng) {
 
 constexpr std::array<ProtocolSpec, kNumTasks> kRegistry{{
     {Task::lr_sorting, "lr-sorting", "Lem 4.2", kCertOrder | kCertTails, kCertOrder | kCertTails,
-     run_lr, pls_lr, bits_lr, bind_lr, yes_lr, near_no_lr},
-    {Task::path_outerplanar, "path-outerplanar", "Thm 1.2", 0, kCertOrder, run_po, pls_po,
-     bits_po, bind_po, yes_po, near_no_po},
-    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0, run_op, pls_op, bits_op, bind_op,
-     yes_op, near_no_op},
-    {Task::embedding, "embedding", "Thm 1.4", kCertRotation, kCertRotation, run_pe, nullptr,
-     bits_pe, bind_pe, yes_pe, near_no_pe},
-    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation, run_pl, pls_pl, bits_pl,
-     bind_pl, yes_pl, near_no_pl},
-    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0, run_sp, pls_sp, bits_sp,
-     bind_sp, yes_sp, near_no_sp},
-    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0, run_tw, pls_tw, bits_tw, bind_tw,
-     yes_tw, near_no_tw},
+     run_lr, bits_lr, bind_lr, yes_lr, near_no_lr},
+    {Task::path_outerplanar, "path-outerplanar", "Thm 1.2", 0, kCertOrder, run_po, bits_po,
+     bind_po, yes_po, near_no_po},
+    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0, run_op, bits_op, bind_op, yes_op,
+     near_no_op},
+    {Task::embedding, "embedding", "Thm 1.4", kCertRotation, kCertRotation, run_pe, bits_pe,
+     bind_pe, yes_pe, near_no_pe},
+    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation, run_pl, bits_pl, bind_pl, yes_pl,
+     near_no_pl},
+    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0, run_sp, bits_sp, bind_sp, yes_sp,
+     near_no_sp},
+    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0, run_tw, bits_tw, bind_tw, yes_tw,
+     near_no_tw},
     {Task::log_star_planarity, "log-star-planarity", "GP25b Thm 1.1",
-     kCertOrder | kCertTails, kCertOrder | kCertTails, run_ls, pls_ls, bits_ls, bind_ls,
-     yes_ls, near_no_ls},
+     kCertOrder | kCertTails, kCertOrder | kCertTails, run_ls, bits_ls, bind_ls, yes_ls,
+     near_no_ls},
 }};
 
 }  // namespace
@@ -462,14 +436,13 @@ Outcome run_protocol(const Instance& inst, const RunOptions& opt, Rng& rng,
   return protocol_spec(inst.task()).run(inst, opt, rng, faults);
 }
 
-Outcome run_protocol_baseline_pls(const Instance& inst) {
-  const ProtocolSpec& spec = protocol_spec(inst.task());
-  LRDIP_CHECK_MSG(spec.run_pls != nullptr,
-                  std::string(spec.name) + " has no executable PLS baseline");
-  return spec.run_pls(inst);
+BoundInstance bind_instance(Task t, const GraphFile& gf) {
+  // The provers' degeneracy orientation and planarity engine assume a simple
+  // graph; a parallel edge is the input's defect, not a run's.
+  LRDIP_CHECK_MSG(gf.graph.is_simple(),
+                  std::string(task_name(t)) + " needs a simple graph (found a parallel edge)");
+  return protocol_spec(t).bind_file(gf);
 }
-
-BoundInstance bind_instance(Task t, const GraphFile& gf) { return protocol_spec(t).bind_file(gf); }
 
 BoundInstance make_yes_instance(Task t, int n, Rng& rng) {
   return protocol_spec(t).make_yes(n, rng);

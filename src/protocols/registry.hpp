@@ -7,9 +7,9 @@
 // own string→function dispatch and its own generator plumbing. This header
 // makes the table itself the single source of truth: canonical task names
 // (which are also the RunScope task strings and the bench/budgets/ file
-// stems), paper pointers, certificate requirements, the run and PLS-baseline
-// entry points, and the two instance adapters (from a parsed GraphFile and
-// from the fixed-seed yes-instance generators).
+// stems), paper pointers, certificate requirements, the run entry point, the
+// PLS-baseline label width, and the two instance adapters (from a parsed
+// GraphFile and from the fixed-seed yes-instance generators).
 //
 // Instances stay per-task structs — their certificate payloads genuinely
 // differ — but a borrowed, type-erased `Instance` view lets generic code
@@ -76,12 +76,6 @@ inline Instance make_instance(const SeriesParallelInstance& i) { return {Instanc
 inline Instance make_instance(const Treewidth2Instance& i) { return {InstanceRef{&i}}; }
 inline Instance make_instance(const LogStarPlanarityInstance& i) { return {InstanceRef{&i}}; }
 
-/// Knobs shared by every task (each per-task param struct is exactly {c}).
-struct RunOptions {
-  /// Soundness exponent: the PIT fields have p > log^c n elements.
-  int c = 3;
-};
-
 /// GraphFile certificate sections, as bitmask values for ProtocolSpec.
 enum : unsigned {
   kCertOrder = 1u << 0,     // 'order' section (Hamiltonian path)
@@ -130,10 +124,9 @@ struct ProtocolSpec {
   unsigned uses_certs;
   /// The 5-round interactive protocol (RunScope + stage + finalize).
   Outcome (*run)(const Instance&, const RunOptions&, Rng&, FaultInjector*);
-  /// Executable one-round PLS baseline; null when the repo has none
-  /// (embedding — its separation row uses the textbook width below).
-  Outcome (*run_pls)(const Instance&);
-  /// Textbook one-round PLS label width at size n (the E-SEP column).
+  /// Label width of the one-round Theta(log n) PLS baseline at size n (the
+  /// E-SEP and E-x.y comparison column). The baseline is a width, not an
+  /// executable scheme.
   int (*pls_bits)(int n);
   /// Instance adapter over a parsed GraphFile (borrows the file; throws
   /// InvariantError when a required section is missing).
@@ -162,15 +155,14 @@ std::optional<Task> task_from_name(std::string_view name);
 /// Every canonical name joined by `sep` (usage strings, error messages).
 std::string task_name_list(std::string_view sep = " ");
 
-/// Generic dispatch: protocol_spec(inst.task()).run(...). The run_* free
-/// functions are thin wrappers over this (via dip/runtime.hpp's default
-/// engine), so string→function chains in consumers reduce to a table lookup.
+/// Generic dispatch: protocol_spec(inst.task()).run(...). This is the one way
+/// to execute a task: `run_protocol(make_instance(inst), opt, rng, faults)`.
 Outcome run_protocol(const Instance& inst, const RunOptions& opt, Rng& rng,
                      FaultInjector* faults = nullptr);
-/// Dispatches the task's PLS baseline; throws when the task has none.
-Outcome run_protocol_baseline_pls(const Instance& inst);
 
-/// bind_file / make_yes / make_near_no by tag.
+/// bind_file / make_yes / make_near_no by tag. bind_instance throws
+/// InvariantError on a graph with a parallel edge: every task's prover
+/// assumes a simple graph.
 BoundInstance bind_instance(Task t, const GraphFile& gf);
 BoundInstance make_yes_instance(Task t, int n, Rng& rng);
 BoundInstance make_near_no_instance(Task t, int n, Rng& rng);

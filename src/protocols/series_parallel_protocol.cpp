@@ -10,10 +10,8 @@
 #include "protocols/lr_sorting.hpp"
 #include "protocols/nesting.hpp"
 #include "protocols/path_outerplanarity.hpp"
-#include "protocols/registry.hpp"
 #include "protocols/spanning_tree.hpp"
 #include "obs/metrics.hpp"
-#include "support/bits.hpp"
 #include "support/check.hpp"
 
 namespace lrdip {
@@ -79,15 +77,14 @@ StageResult reject_all(const Graph& g, int bits_estimate) {
 
 }  // namespace
 
-StageResult series_parallel_stage(const SeriesParallelInstance& inst,
-                                  const SpProtocolParams& params, Rng& rng,
-                                  FaultInjector* faults) {
+StageResult series_parallel_stage(const SeriesParallelInstance& inst, const RunOptions& opt,
+                                  Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("series_parallel_stage");
   const Graph& g = *inst.graph;
   const int n = g.n();
   LRDIP_CHECK(n >= 2);
-  const int ls = nesting_fragment_bits(n, params.c);
-  const int reps = po_repetitions(n, params.c);
+  const int ls = nesting_fragment_bits(n, opt.c);
+  const int reps = po_repetitions(n, opt.c);
 
   const auto ears_opt = committed_ears(g, inst.ears);
   if (!ears_opt) return reject_all(g, 7 + 2 * reps + 2 * (ls + 1));
@@ -207,8 +204,8 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
     lr.order = order;
     lr.tail.resize(hi.m());
     for (EdgeId e = 0; e < hi.m(); ++e) lr.tail[e] = std::min(hi.endpoints(e).first, hi.endpoints(e).second);
-    StageResult sr = lr_sorting_stage(lr, {params.c}, rng, nullptr, faults);
-    sr = compose_parallel(sr, nesting_stage(hi, order, params.c, rng, faults));
+    StageResult sr = lr_sorting_stage(lr, opt, rng, nullptr, faults);
+    sr = compose_parallel(sr, nesting_stage(hi, order, opt.c, rng, faults));
     // Map back: interiors carry their own copy; the ear's endpoints' labels
     // ride on the adjacent interiors (or stay on the endpoints for the first
     // ear, whose "endpoints" are its own interior nodes).
@@ -234,24 +231,8 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst,
   return result;
 }
 
-Outcome run_series_parallel(const SeriesParallelInstance& inst, const SpProtocolParams& params,
-                            Rng& rng, FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_series_parallel_baseline_pls(const SeriesParallelInstance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_series_parallel(g);
-  return o;
-}
-
-StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolParams& params,
-                             Rng& rng, FaultInjector* faults) {
+StageResult treewidth2_stage(const Treewidth2Instance& inst, const RunOptions& opt, Rng& rng,
+                             FaultInjector* faults) {
   const obs::ScopedTimer timer("treewidth2_stage");
   const Graph& g = *inst.graph;
   const int n = g.n();
@@ -268,7 +249,7 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
   result.coin_bits.assign(n, 0);
   result.rounds = 1;
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
-                                                         po_repetitions(n, params.c), rng, faults));
+                                                         po_repetitions(n, opt.c), rng, faults));
 
   // Per-block series-parallel stage.
   for (int b = 0; b < bct.decomp.num_components(); ++b) {
@@ -293,7 +274,7 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
         break;
       }
     }
-    const StageResult sr = series_parallel_stage(si, params, rng, faults);
+    const StageResult sr = series_parallel_stage(si, opt, rng, faults);
     for (NodeId w = 0; w < sub.graph.n(); ++w) {
       const NodeId host = sub.node_to_orig[w];
       result.node_bits[host] += sr.node_bits[w];
@@ -303,22 +284,6 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolPar
   }
   result.rounds = std::max(result.rounds, kSeriesParallelRounds);
   return result;
-}
-
-Outcome run_treewidth2(const Treewidth2Instance& inst, const SpProtocolParams& params, Rng& rng,
-                       FaultInjector* faults) {
-  return run_protocol(make_instance(inst), {params.c}, rng, faults);
-}
-
-Outcome run_treewidth2_baseline_pls(const Treewidth2Instance& inst) {
-  const Graph& g = *inst.graph;
-  Outcome o;
-  o.rounds = 1;
-  const int bits = 4 * bits_for_values(static_cast<std::uint64_t>(std::max(2, g.n())));
-  o.proof_size_bits = bits;
-  o.total_label_bits = static_cast<std::int64_t>(bits) * g.n();
-  o.accepted = is_treewidth_at_most_2(g);
-  return o;
 }
 
 }  // namespace lrdip

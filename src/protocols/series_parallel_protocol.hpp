@@ -41,25 +41,13 @@ struct SeriesParallelInstance {
   std::optional<EarDecomposition> ears;
 };
 
-struct SpProtocolParams {
-  int c = 3;
-};
-
 inline constexpr int kSeriesParallelRounds = 5;
 
 /// `faults`, when non-null, corrupts every recorded transcript (the per-sub-
 /// ear spanning-tree chains and the per-host-ear LR-sorting/nesting stages)
 /// between prover and verifier; the hardened decisions reject locally.
-StageResult series_parallel_stage(const SeriesParallelInstance& inst,
-                                  const SpProtocolParams& params, Rng& rng,
-                                  FaultInjector* faults = nullptr);
-
-Outcome run_series_parallel(const SeriesParallelInstance& inst, const SpProtocolParams& params,
-                            Rng& rng, FaultInjector* faults = nullptr);
-
-/// Baseline: one-round Theta(log n) PLS (ear decomposition with explicit ids
-/// and positions).
-Outcome run_series_parallel_baseline_pls(const SeriesParallelInstance& inst);
+StageResult series_parallel_stage(const SeriesParallelInstance& inst, const RunOptions& opt,
+                                  Rng& rng, FaultInjector* faults = nullptr);
 
 // ------------------------------------------------------------ treewidth <= 2
 
@@ -70,14 +58,8 @@ struct Treewidth2Instance {
 };
 
 /// Block-cut anchoring (BFS spanning-tree commitment + d(C) mod 3 labels)
-/// composed with one SP stage per biconnected block, host-mapped. Exposed so
-/// the protocol registry and run_treewidth2 share one body.
-StageResult treewidth2_stage(const Treewidth2Instance& inst, const SpProtocolParams& params,
-                             Rng& rng, FaultInjector* faults = nullptr);
-
-Outcome run_treewidth2(const Treewidth2Instance& inst, const SpProtocolParams& params, Rng& rng,
-                       FaultInjector* faults = nullptr);
-
-Outcome run_treewidth2_baseline_pls(const Treewidth2Instance& inst);
+/// composed with one SP stage per biconnected block, host-mapped.
+StageResult treewidth2_stage(const Treewidth2Instance& inst, const RunOptions& opt, Rng& rng,
+                             FaultInjector* faults = nullptr);
 
 }  // namespace lrdip

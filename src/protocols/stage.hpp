@@ -19,6 +19,14 @@
 
 namespace lrdip {
 
+/// Knobs shared by every task's protocol and stage functions.
+struct RunOptions {
+  /// Soundness exponent: the PIT fields have p > log^c n elements. The
+  /// log-star protocol ignores it (one fixed 7-bit field; its soundness is
+  /// amplified by repetition, not by growing the field).
+  int c = 3;
+};
+
 struct StageResult {
   std::vector<char> node_accepts;  // per node of the host graph
   std::vector<int> node_bits;      // label bits charged per node

@@ -1,107 +1,48 @@
-// Tests for the executable one-round PLS baselines and the extra protocol
-// surface (Theorem 6.1 wrapper, DOT export).
+// Tests for the one-round PLS baseline widths, Theorem 6.1 through the
+// outerplanarity protocol, and DOT export.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "support/check.hpp"
 #include "gen/generators.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/dot.hpp"
-#include "protocols/baseline_pls.hpp"
-#include "protocols/outerplanarity.hpp"
-#include "support/bits.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
 namespace {
 
-TEST(SpanningTreePls, AcceptsHonestTrees) {
-  Rng rng(1);
-  for (int t = 0; t < 10; ++t) {
-    const auto gi = random_planar(80, 0.3, rng);
-    const RootedForest tree = bfs_tree(gi.graph, 0);
-    const Outcome o = run_spanning_tree_baseline_pls(gi.graph, tree.parent);
-    EXPECT_TRUE(o.accepted);
-    EXPECT_EQ(o.rounds, 1);
-    EXPECT_EQ(o.proof_size_bits, 2 * bits_for_values(80));
-    EXPECT_EQ(o.max_coin_bits, 0);  // deterministic
-  }
-}
-
-TEST(SpanningTreePls, RejectsCyclesDeterministically) {
-  // Contrast with Lemma 2.5: no randomness needed, but Theta(log n) bits.
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = cycle_graph(12);
-    std::vector<NodeId> parent(12);
-    for (int v = 0; v < 12; ++v) parent[v] = (v + 1) % 12;
-    EXPECT_FALSE(run_spanning_tree_baseline_pls(g, parent).accepted);
-  }
-}
-
-TEST(SpanningTreePls, RejectsTwoComponents) {
-  Rng rng(2);
-  const auto gi = random_planar(60, 0.3, rng);
-  RootedForest tree = bfs_tree(gi.graph, 0);
-  for (NodeId v = 0; v < gi.graph.n(); ++v) {
-    if (tree.depth[v] == 1) {
-      tree.parent[v] = -1;
-      break;
-    }
-  }
-  EXPECT_FALSE(run_spanning_tree_baseline_pls(gi.graph, tree.parent).accepted);
-}
-
-TEST(PathOuterplanarityPls, DeterministicDecisions) {
-  Rng rng(3);
-  // Yes-instances: always accepted, zero coins.
-  for (int t = 0; t < 10; ++t) {
-    const auto gi = random_path_outerplanar(120, 1.0, rng);
-    const Outcome o = run_path_outerplanarity_pls(gi.graph, gi.order);
-    EXPECT_TRUE(o.accepted) << t;
-    EXPECT_EQ(o.rounds, 1);
-    EXPECT_EQ(o.max_coin_bits, 0);
-  }
-  // Crossing chords: rejected with probability 1 (positions are exact).
-  for (int t = 0; t < 10; ++t) {
-    const Graph bad = crossing_chords_no_instance(40, rng);
-    std::vector<NodeId> order(bad.n());
-    for (int i = 0; i < bad.n(); ++i) order[i] = i;
-    EXPECT_FALSE(run_path_outerplanarity_pls(bad, order).accepted);
-  }
-  // No Hamiltonian path: rejected.
-  EXPECT_FALSE(run_path_outerplanarity_pls(spider_no_instance(5), std::nullopt).accepted);
-}
-
 TEST(PathOuterplanarityPls, LabelsAreThetaLogN) {
-  Rng rng(4);
-  const auto small = random_path_outerplanar(1 << 8, 1.0, rng);
-  const auto large = random_path_outerplanar(1 << 16, 1.0, rng);
-  const Outcome os = run_path_outerplanarity_pls(small.graph, small.order);
-  const Outcome ol = run_path_outerplanarity_pls(large.graph, large.order);
-  ASSERT_TRUE(os.accepted);
-  ASSERT_TRUE(ol.accepted);
-  // Doubling log n roughly doubles the label width (all fields are positions).
-  EXPECT_GT(ol.proof_size_bits, os.proof_size_bits * 3 / 2);
+  // The baseline is a label width (the registry's pls_bits): all its fields
+  // are positions, so doubling log n doubles it.
+  const auto pls_bits = protocol_spec(Task::path_outerplanar).pls_bits;
+  EXPECT_EQ(pls_bits(1 << 8), 3 * 8);
+  EXPECT_EQ(pls_bits(1 << 16), 3 * 16);
 }
 
+// Theorem 6.1 through the outerplanarity protocol: a biconnected graph is one
+// block, whose certificate is a Hamiltonian cycle.
 TEST(BiconnectedOuterplanarity, Theorem61) {
   Rng rng(5);
+  const auto run = [&](const Graph& g, std::optional<std::vector<NodeId>> cycle) {
+    std::optional<std::vector<std::vector<NodeId>>> certs;
+    if (cycle) certs = std::vector<std::vector<NodeId>>{*cycle};
+    const OuterplanarityInstance inst{&g, certs};
+    return run_protocol(make_instance(inst), {3}, rng).accepted;
+  };
   // Yes: a maximal outerplanar polygon with its cycle certificate.
   const Graph g = random_maximal_outerplanar(64, rng);
   std::vector<NodeId> cycle(64);
   for (int i = 0; i < 64; ++i) cycle[i] = i;
-  EXPECT_TRUE(run_biconnected_outerplanarity(g, cycle, {3}, rng).accepted);
+  EXPECT_TRUE(run(g, cycle));
   // No certificate: recomputed centrally.
-  EXPECT_TRUE(run_biconnected_outerplanarity(g, std::nullopt, {3}, rng).accepted);
-  // Path-outerplanar but NOT closing a cycle: a bare path fails Theorem 6.1.
-  const Graph path = path_graph(16);
-  EXPECT_FALSE(run_biconnected_outerplanarity(path, std::nullopt, {3}, rng).accepted);
+  EXPECT_TRUE(run(g, std::nullopt));
   // Non-outerplanar: rejected.
   const Graph bad = crossing_chords_no_instance(20, rng);
   std::vector<NodeId> bad_cycle(bad.n());
   for (int i = 0; i < bad.n(); ++i) bad_cycle[i] = i;
-  EXPECT_FALSE(run_biconnected_outerplanarity(bad, bad_cycle, {3}, rng).accepted);
+  EXPECT_FALSE(run(bad, bad_cycle));
 }
 
 TEST(Dot, UndirectedWithPath) {

@@ -10,6 +10,7 @@
 #include "graph/planarity.hpp"
 #include "graph/series_parallel.hpp"
 #include "protocols/outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
 #include "support/rng.hpp"
 
@@ -37,7 +38,7 @@ TEST(Families, FanIsMaximalOuterplanarWithHugeDegree) {
   const auto cyc = outerplanar_hamiltonian_cycle(g);
   ASSERT_TRUE(cyc.has_value());
   const OuterplanarityInstance inst{&g, std::vector<std::vector<NodeId>>{*cyc}};
-  EXPECT_TRUE(run_outerplanarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(Families, RandomTree) {
@@ -48,7 +49,8 @@ TEST(Families, RandomTree) {
   EXPECT_TRUE(is_outerplanar(g));
   EXPECT_TRUE(is_treewidth_at_most_2(g));
   Rng prng(3);
-  EXPECT_TRUE(run_treewidth2({&g, std::nullopt}, {3}, prng).accepted);
+  const Treewidth2Instance inst{&g, std::nullopt};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, prng).accepted);
 }
 
 TEST(Families, HalinGraphs) {
@@ -67,9 +69,11 @@ TEST(Families, HalinGraphs) {
 TEST(Families, HalinRejectedByTw2Protocol) {
   Rng rng(5);
   const Graph g = halin_graph(16, rng);
+  const Treewidth2Instance tw{&g, std::nullopt};
+  const SeriesParallelInstance sp{&g, std::nullopt};
   for (int t = 0; t < 5; ++t) {
-    EXPECT_FALSE(run_treewidth2({&g, std::nullopt}, {3}, rng).accepted);
-    EXPECT_FALSE(run_series_parallel({&g, std::nullopt}, {3}, rng).accepted);
+    EXPECT_FALSE(run_protocol(make_instance(tw), {3}, rng).accepted);
+    EXPECT_FALSE(run_protocol(make_instance(sp), {3}, rng).accepted);
   }
 }
 
@@ -81,12 +85,15 @@ TEST(Families, LadderIsOuterplanarAndTw2) {
   EXPECT_TRUE(is_outerplanar(gi.graph));
   EXPECT_TRUE(is_biconnected(gi.graph));
   Rng rng(6);
-  EXPECT_TRUE(run_treewidth2({&gi.graph, std::nullopt}, {3}, rng).accepted);
-  EXPECT_TRUE(run_outerplanarity({&gi.graph, std::nullopt}, {3}, rng).accepted);
+  const Treewidth2Instance tw{&gi.graph, std::nullopt};
+  const OuterplanarityInstance op{&gi.graph, std::nullopt};
+  EXPECT_TRUE(run_protocol(make_instance(tw), {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(op), {3}, rng).accepted);
   // Width 3 breaks it: the middle column leaves the outer face.
   const auto wide = grid_graph(3, 5);
   EXPECT_FALSE(is_outerplanar(wide.graph));
-  EXPECT_FALSE(run_outerplanarity({&wide.graph, std::nullopt}, {3}, rng).accepted);
+  const OuterplanarityInstance wide_op{&wide.graph, std::nullopt};
+  EXPECT_FALSE(run_protocol(make_instance(wide_op), {3}, rng).accepted);
 }
 
 }  // namespace

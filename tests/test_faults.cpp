@@ -1,5 +1,5 @@
 // Byzantine fault injection: determinism of the injector, the never-throw
-// contract of every run_* entry point under arbitrary transcript corruption,
+// contract of every task execution under arbitrary transcript corruption,
 // and the reject-reason taxonomy surfaced through Outcome.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "protocols/outerplanarity.hpp"
 #include "protocols/path_outerplanarity.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
 #include "support/rng.hpp"
 
@@ -139,7 +140,7 @@ struct FaultTask {
   std::function<Outcome(Rng&, FaultInjector*)> run;
 };
 
-/// The six run_* entry points on fixed honest yes-instances.
+/// Six tasks through run_protocol on fixed honest yes-instances.
 std::vector<FaultTask> make_tasks(int n) {
   Rng gen(2024);
   auto lr_inst = std::make_shared<LrInstance>(random_lr_yes(n, 1.0, gen));
@@ -155,24 +156,33 @@ std::vector<FaultTask> make_tasks(int n) {
   auto tw = std::make_shared<Tw2CertInstance>(random_treewidth2_with_cert(n, 2, gen));
   return {
       {"lr-sorting",
-       [lr_inst, lr](Rng& r, FaultInjector* f) { return run_lr_sorting(*lr, {3}, r, nullptr, f); }},
+       [lr_inst, lr](Rng& r, FaultInjector* f) {
+         return run_protocol(make_instance(*lr), {3}, r, f);
+       }},
       {"path-outerplanar",
        [po](Rng& r, FaultInjector* f) {
-         return run_path_outerplanarity({&po->graph, po->order}, {3}, r, f);
+         const PathOuterplanarityInstance inst{&po->graph, po->order};
+         return run_protocol(make_instance(inst), {3}, r, f);
        }},
       {"outerplanar",
        [op](Rng& r, FaultInjector* f) {
-         return run_outerplanarity({&op->graph, op->block_cycles}, {3}, r, f);
+         const OuterplanarityInstance inst{&op->graph, op->block_cycles};
+         return run_protocol(make_instance(inst), {3}, r, f);
        }},
       {"planarity",
        [pl](Rng& r, FaultInjector* f) {
-         return run_planarity({&pl->graph, &pl->rotation}, {3}, r, f);
+         const PlanarityInstance inst{&pl->graph, &pl->rotation};
+         return run_protocol(make_instance(inst), {3}, r, f);
        }},
       {"series-parallel",
-       [sp](Rng& r, FaultInjector* f) { return run_series_parallel({&sp->graph, sp->ears}, {3}, r, f); }},
+       [sp](Rng& r, FaultInjector* f) {
+         const SeriesParallelInstance inst{&sp->graph, sp->ears};
+         return run_protocol(make_instance(inst), {3}, r, f);
+       }},
       {"treewidth2",
        [tw](Rng& r, FaultInjector* f) {
-         return run_treewidth2({&tw->graph, tw->block_ears}, {3}, r, f);
+         const Treewidth2Instance inst{&tw->graph, tw->block_ears};
+         return run_protocol(make_instance(inst), {3}, r, f);
        }},
   };
 }
@@ -196,7 +206,7 @@ TEST(FaultSweep, HonestTranscriptsKeepPerfectCompleteness) {
 
 TEST(FaultSweep, EveryLabelDroppedRejectsWithMissingLabel) {
   // Regression for the never-throw contract at its extreme: every recorded
-  // label replaced by the empty label. run_* must return a rejecting Outcome
+  // label replaced by the empty label. A run must return a rejecting Outcome
   // whose dominant reason is missing_label — not throw.
   for (const FaultTask& task : make_tasks(64)) {
     FaultInjector inj({1, 1.0, fault_bit(FaultModel::label_drop)});

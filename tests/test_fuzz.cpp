@@ -4,8 +4,8 @@
 // honest yes-instance and the near-yes no-instance, and require the verdicts
 // to match membership. Bounded to a few seconds; the seed space is
 // parameterized so failures reproduce exactly.
-// A second sweep runs the two centralized planarity engines — Boyer–Myrvold
-// (the default) and Demoucron (the retained oracle) — against each other on
+// A second sweep runs the production Boyer–Myrvold engine against the
+// directly called Demoucron oracle (demoucron_planar_embedding) on
 // random graphs across a density ramp: verdicts must agree, planar verdicts
 // must come with genus-0 rotations from BOTH engines, and non-planar verdicts
 // must come with a validating Kuratowski witness. This is the differential
@@ -17,6 +17,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/boyer_myrvold.hpp"
+#include "graph/embedder.hpp"
 #include "graph/kuratowski.hpp"
 #include "graph/planarity.hpp"
 #include "graph/rotation.hpp"
@@ -82,7 +83,7 @@ TEST_P(EngineDiff, BoyerMyrvoldAgreesWithDemoucronAcrossDensities) {
       }
       SCOPED_TRACE(::testing::Message() << "density=" << density << " rep=" << rep
                                         << " n=" << n << " m=" << g.m());
-      const auto oracle = planar_embedding(g, PlanarityEngine::kDemoucron);
+      const auto oracle = demoucron_planar_embedding(g);
       const PlanarityResult res = boyer_myrvold(g, BmOutput::kEmbeddingOrWitness);
       ASSERT_EQ(oracle.has_value(), res.planar) << "verdict mismatch";
       EXPECT_EQ(is_planar(g), res.planar) << "verdict-only path disagrees";

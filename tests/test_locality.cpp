@@ -9,6 +9,7 @@
 #include "protocols/locality.hpp"
 #include "protocols/multiset_equality_labeled.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -28,7 +29,7 @@ TEST(Locality, StretchedK5FoolsLocalChecks) {
   // interactive protocol does not:
   const PlanarityInstance inst{&g, nullptr};
   for (int t = 0; t < 5; ++t) {
-    EXPECT_FALSE(run_planarity(inst, {3}, rng).accepted);
+    EXPECT_FALSE(run_protocol(make_instance(inst), {3}, rng).accepted);
   }
 }
 

@@ -63,7 +63,7 @@ TEST(LogStarPlanarity, PerfectCompletenessAcrossSizes) {
   for (const int n : {2, 3, 4, 8, 16, 24, 64, 96, 256, 1000, 1 << 12}) {
     const LrInstance gi = random_lr_yes(n, 1.0, rng);
     LogStarPlanarityInstance inst{&gi.graph, gi.order, lr_claimed_tails(gi), {}};
-    const Outcome o = run_log_star_planarity(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << "n=" << n << ": " << reject_reason_name(o.reject_reason);
     EXPECT_EQ(o.rounds, log_star_rounds(gi.graph.n())) << n;
   }
@@ -78,16 +78,16 @@ TEST(LogStarPlanarity, ProofSizeBeatsLrSortingOnTheSameInstance) {
   const LogStarPlanarityInstance ls{&gi.graph, gi.order, lr_claimed_tails(gi), {}};
   const LrSortingInstance lr = as_lr_sorting(ls);
   Rng r1(13), r2(13);
-  const Outcome a = run_log_star_planarity(ls, {3}, r1);
-  const Outcome b = run_lr_sorting(lr, {3}, r2);
+  const Outcome a = run_protocol(make_instance(ls), {3}, r1);
+  const Outcome b = run_protocol(make_instance(lr), {3}, r2);
   ASSERT_TRUE(a.accepted);
   ASSERT_TRUE(b.accepted);
   EXPECT_LT(a.proof_size_bits, b.proof_size_bits);
-  // The one-round baseline stays available as the E-SEP comparison point
-  // (its Theta(log n) bare position label is still cheap at this size; the
-  // asymptotic crossover against the framed interactive protocols is the
-  // sweep's story, not a unit test's).
-  const Outcome pls = run_log_star_planarity_baseline_pls(ls);
+  // The one-round position-labeling stage (the short-path fallback) decides
+  // the same instance on its own (its Theta(log n) bare position label is
+  // still cheap at this size; the asymptotic crossover against the framed
+  // interactive protocols is the E-SEP sweep's story, not a unit test's).
+  const Outcome pls = finalize(lr_trivial_position_stage(lr));
   ASSERT_TRUE(pls.accepted);
   EXPECT_EQ(pls.rounds, 1);
 }
@@ -144,11 +144,11 @@ TEST(LogStarPlanarity, NearNoGenerationCostStaysNearYes) {
 
 TEST(LogStarPlanarity, FallbackMatchesTheTrivialStage) {
   // Below 2 ceil(log2 n) the task degenerates to the shared one-round
-  // position-labeling stage — same outcome shape as the PLS baseline.
+  // position-labeling stage.
   Rng rng(17);
   const LrInstance gi = random_lr_yes(4, 1.0, rng);
   LogStarPlanarityInstance inst{&gi.graph, gi.order, lr_claimed_tails(gi), {}};
-  const Outcome o = run_log_star_planarity(inst, {3}, rng);
+  const Outcome o = run_protocol(make_instance(inst), {3}, rng);
   EXPECT_TRUE(o.accepted);
   EXPECT_EQ(o.rounds, 1);
 }

@@ -5,6 +5,7 @@
 #include "support/check.hpp"
 #include "gen/generators.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -24,7 +25,7 @@ TEST(LrSorting, PerfectCompleteness) {
     const int n = 32 + static_cast<int>(rng.uniform(400));
     const LrInstance gi = random_lr_yes(n, 1.0, rng);
     const LrSortingInstance inst = to_protocol_instance(gi);
-    const Outcome o = run_lr_sorting(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << "n=" << n << " trial=" << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -34,7 +35,7 @@ TEST(LrSorting, CompletenessAtLargeScale) {
   Rng rng(2);
   const LrInstance gi = random_lr_yes(1 << 15, 1.0, rng);
   const LrSortingInstance inst = to_protocol_instance(gi);
-  const Outcome o = run_lr_sorting(inst, {3}, rng);
+  const Outcome o = run_protocol(make_instance(inst), {3}, rng);
   EXPECT_TRUE(o.accepted);
 }
 
@@ -45,7 +46,7 @@ TEST(LrSorting, SoundnessOneFlip) {
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(300, 1.0, 1, rng);
     const LrSortingInstance inst = to_protocol_instance(gi);
-    rejects += !run_lr_sorting(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   // Soundness error is 1/polylog n; with c=3 and n=300 the cheat should
   // essentially never slip through 60 trials.
@@ -59,7 +60,7 @@ TEST(LrSorting, SoundnessManyFlips) {
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(500, 1.0, 8, rng);
     const LrSortingInstance inst = to_protocol_instance(gi);
-    rejects += !run_lr_sorting(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
 }
@@ -73,7 +74,7 @@ TEST(LrSorting, BlockShiftCheatIsCaught) {
     const LrSortingInstance inst = to_protocol_instance(gi);
     LrCheatSpec cheat;
     cheat.shift_block = true;
-    rejects += !run_lr_sorting(inst, {3}, rng, &cheat).accepted;
+    rejects += !run_lr_sorting_cheating(inst, {3}, rng, cheat).accepted;
   }
   EXPECT_GE(rejects, trials - 2);
 }
@@ -86,7 +87,7 @@ TEST(LrSorting, MisclassifiedEdgeCheatIsCaught) {
     const LrInstance gi = random_lr_yes(600, 1.0, rng);
     LrCheatSpec cheat;
     cheat.misclassify_edge = true;
-    rejects += !run_lr_sorting(to_protocol_instance(gi), {3}, rng, &cheat).accepted;
+    rejects += !run_lr_sorting_cheating(to_protocol_instance(gi), {3}, rng, cheat).accepted;
   }
   // Caught by the r_b block-identity check except on a 1/p collision.
   EXPECT_GE(rejects, trials - 2);
@@ -100,7 +101,7 @@ TEST(LrSorting, CorruptedMultiplicityCheatIsCaught) {
     const LrInstance gi = random_lr_yes(600, 1.0, rng);
     LrCheatSpec cheat;
     cheat.corrupt_multiplicity = true;
-    rejects += !run_lr_sorting(to_protocol_instance(gi), {3}, rng, &cheat).accepted;
+    rejects += !run_lr_sorting_cheating(to_protocol_instance(gi), {3}, rng, cheat).accepted;
   }
   // Caught by the verification-scheme PIT except with probability ~1/p'.
   EXPECT_GE(rejects, trials - 2);
@@ -111,8 +112,8 @@ TEST(LrSorting, DeterministicGivenSeed) {
   const LrInstance a = random_lr_yes(800, 1.0, gen1);
   const LrInstance b = random_lr_yes(800, 1.0, gen2);
   Rng run1(5), run2(5);
-  const Outcome oa = run_lr_sorting(to_protocol_instance(a), {3}, run1);
-  const Outcome ob = run_lr_sorting(to_protocol_instance(b), {3}, run2);
+  const Outcome oa = run_protocol(make_instance(to_protocol_instance(a)), {3}, run1);
+  const Outcome ob = run_protocol(make_instance(to_protocol_instance(b)), {3}, run2);
   EXPECT_EQ(oa.accepted, ob.accepted);
   EXPECT_EQ(oa.proof_size_bits, ob.proof_size_bits);
   EXPECT_EQ(oa.total_label_bits, ob.total_label_bits);
@@ -124,30 +125,34 @@ TEST(LrSorting, ProofSizeGrowsDoublyLogarithmically) {
   // a small additive amount, far below the 2x of a log-n scheme.
   const LrInstance g1 = random_lr_yes(1 << 10, 1.0, rng);
   const LrInstance g2 = random_lr_yes(1 << 20, 1.0, rng);
-  const Outcome o1 = run_lr_sorting(to_protocol_instance(g1), {3}, rng);
-  const Outcome o2 = run_lr_sorting(to_protocol_instance(g2), {3}, rng);
+  const Outcome o1 = run_protocol(make_instance(to_protocol_instance(g1)), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(to_protocol_instance(g2)), {3}, rng);
   EXPECT_TRUE(o1.accepted);
   EXPECT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 1.7);
   // ... while the baseline doubles exactly.
-  const Outcome b1 = run_lr_sorting_baseline_pls(to_protocol_instance(g1));
-  const Outcome b2 = run_lr_sorting_baseline_pls(to_protocol_instance(g2));
-  EXPECT_EQ(b1.proof_size_bits, 10);
-  EXPECT_EQ(b2.proof_size_bits, 20);
+  const auto pls_bits = protocol_spec(Task::lr_sorting).pls_bits;
+  EXPECT_EQ(pls_bits(1 << 10), 10);
+  EXPECT_EQ(pls_bits(1 << 20), 20);
 }
 
+// The one-round position-labeling stage (the short-path fallback) decides
+// correctly on its own at any length.
 TEST(LrSorting, BaselineDecidesCorrectly) {
   Rng rng(7);
   const LrInstance yes = random_lr_yes(100, 1.0, rng);
-  EXPECT_TRUE(run_lr_sorting_baseline_pls(to_protocol_instance(yes)).accepted);
+  const Outcome o = finalize(lr_trivial_position_stage(to_protocol_instance(yes)));
+  EXPECT_TRUE(o.accepted);
+  EXPECT_EQ(o.rounds, 1);
+  EXPECT_EQ(o.proof_size_bits, 7);  // ceil(log2 100) position bits
   const LrInstance no = random_lr_no(100, 1.0, 2, rng);
-  EXPECT_FALSE(run_lr_sorting_baseline_pls(to_protocol_instance(no)).accepted);
+  EXPECT_FALSE(finalize(lr_trivial_position_stage(to_protocol_instance(no))).accepted);
 }
 
 TEST(LrSorting, TinyInstancesUseTrivialProtocol) {
   Rng rng(8);
   const LrInstance yes = random_lr_yes(5, 1.0, rng);
-  const Outcome o = run_lr_sorting(to_protocol_instance(yes), {3}, rng);
+  const Outcome o = run_protocol(make_instance(to_protocol_instance(yes)), {3}, rng);
   EXPECT_TRUE(o.accepted);
   EXPECT_EQ(o.rounds, 1);
 }
@@ -156,8 +161,8 @@ TEST(LrSorting, HigherSoundnessExponentGrowsProofLinearlyInC) {
   Rng rng(9);
   const LrInstance gi = random_lr_yes(1 << 14, 1.0, rng);
   const LrSortingInstance inst = to_protocol_instance(gi);
-  const Outcome o2 = run_lr_sorting(inst, {2}, rng);
-  const Outcome o5 = run_lr_sorting(inst, {5}, rng);
+  const Outcome o2 = run_protocol(make_instance(inst), {2}, rng);
+  const Outcome o5 = run_protocol(make_instance(inst), {5}, rng);
   EXPECT_TRUE(o2.accepted);
   EXPECT_TRUE(o5.accepted);
   EXPECT_GT(o5.proof_size_bits, o2.proof_size_bits);
@@ -170,8 +175,8 @@ TEST(LrSorting, DensityDoesNotBlowUpProofSize) {
   Rng rng(10);
   const LrInstance sparse = random_lr_yes(1 << 12, 0.2, rng);
   const LrInstance dense = random_lr_yes(1 << 12, 2.0, rng);
-  const Outcome os = run_lr_sorting(to_protocol_instance(sparse), {3}, rng);
-  const Outcome od = run_lr_sorting(to_protocol_instance(dense), {3}, rng);
+  const Outcome os = run_protocol(make_instance(to_protocol_instance(sparse)), {3}, rng);
+  const Outcome od = run_protocol(make_instance(to_protocol_instance(dense)), {3}, rng);
   EXPECT_TRUE(os.accepted);
   EXPECT_TRUE(od.accepted);
   EXPECT_LT(od.proof_size_bits, os.proof_size_bits * 3);

@@ -10,6 +10,7 @@
 #include "obs/emit.hpp"
 #include "obs/metrics.hpp"
 #include "protocols/lr_sorting.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -144,7 +145,7 @@ obs::RunMetrics metered_lr_run(const LrSortingInstance& inst, int threads) {
   obs::MetricsRegistry::instance().reset();
   obs::MetricsRegistry::instance().set_enabled(true);
   Rng rng(4242);
-  const Outcome o = run_lr_sorting(inst, {3}, rng, nullptr, nullptr);
+  const Outcome o = run_protocol(make_instance(inst), {3}, rng, nullptr);
   obs::MetricsRegistry::instance().set_enabled(false);
   std::vector<obs::RunMetrics> runs = obs::MetricsRegistry::instance().take_completed();
   EXPECT_TRUE(o.accepted);
@@ -194,7 +195,7 @@ TEST_F(MetricsTest, NestedRunScopesMergeIntoOne) {
   {
     const obs::RunScope outer("outer", g.n(), g.m());
     {
-      // A nested run_* call's scope: no second record, traffic lands in outer.
+      // A nested execution's scope: no second record, traffic lands in outer.
       const obs::RunScope inner("inner", 4, 3);
       LabelStore labels(g, 1);
       Label l;

@@ -4,6 +4,7 @@
 #include "gen/generators.hpp"
 #include "graph/outerplanar.hpp"
 #include "protocols/outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -16,7 +17,7 @@ TEST(OuterplanarityProtocol, CompletenessBiconnected) {
     std::vector<NodeId> cycle(g.n());
     for (int i = 0; i < g.n(); ++i) cycle[i] = i;  // generator polygon order
     const OuterplanarityInstance inst{&g, std::vector<std::vector<NodeId>>{cycle}};
-    const Outcome o = run_outerplanarity(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -27,7 +28,7 @@ TEST(OuterplanarityProtocol, CompletenessGlued) {
   for (int t = 0; t < 10; ++t) {
     const auto gi = random_outerplanar_with_cert(120, 4, rng);
     const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
-    EXPECT_TRUE(run_outerplanarity(inst, {3}, rng).accepted) << t;
+    EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted) << t;
   }
 }
 
@@ -36,7 +37,7 @@ TEST(OuterplanarityProtocol, CompletenessWithoutCertificateSmall) {
   Rng rng(3);
   const auto gi = random_outerplanar_with_cert(40, 3, rng);
   const OuterplanarityInstance inst{&gi.graph, std::nullopt};
-  EXPECT_TRUE(run_outerplanarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(OuterplanarityProtocol, CompletenessTreesAndBridges) {
@@ -44,7 +45,7 @@ TEST(OuterplanarityProtocol, CompletenessTreesAndBridges) {
   Rng rng(4);
   const Graph g = path_graph(30);
   const OuterplanarityInstance inst{&g, std::nullopt};
-  EXPECT_TRUE(run_outerplanarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(OuterplanarityProtocol, RejectsBadBlock) {
@@ -55,7 +56,7 @@ TEST(OuterplanarityProtocol, RejectsBadBlock) {
     const auto gi = outerplanar_no_instance(100, 4, rng);
     ASSERT_FALSE(is_outerplanar(gi.graph));
     const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
-    rejects += !run_outerplanarity(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
 }
@@ -67,7 +68,7 @@ TEST(OuterplanarityProtocol, RejectsWheel) {
   for (NodeId v = 0; v < 10; ++v) wheel.add_edge(hub, v);
   const OuterplanarityInstance inst{&wheel, std::nullopt};
   for (int t = 0; t < 10; ++t) {
-    EXPECT_FALSE(run_outerplanarity(inst, {3}, rng).accepted);
+    EXPECT_FALSE(run_protocol(make_instance(inst), {3}, rng).accepted);
   }
 }
 
@@ -75,17 +76,15 @@ TEST(OuterplanarityProtocol, ProofSizeDoublyLogarithmic) {
   Rng rng(7);
   const auto g1 = random_outerplanar_with_cert(1 << 10, 4, rng);
   const auto g2 = random_outerplanar_with_cert(1 << 16, 4, rng);
-  const Outcome o1 = run_outerplanarity({&g1.graph, g1.block_cycles}, {3}, rng);
-  const Outcome o2 = run_outerplanarity({&g2.graph, g2.block_cycles}, {3}, rng);
+  const OuterplanarityInstance i1{&g1.graph, g1.block_cycles};
+  const OuterplanarityInstance i2{&g2.graph, g2.block_cycles};
+  const Outcome o1 = run_protocol(make_instance(i1), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(i2), {3}, rng);
   ASSERT_TRUE(o1.accepted);
   ASSERT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 3 / 2);
-  // Baseline oracle is O(n^2): exercise it only at a small size.
-  Rng rng2(8);
-  const auto small = random_outerplanar_with_cert(64, 3, rng2);
-  const Outcome b = run_outerplanarity_baseline_pls({&small.graph, {}});
-  EXPECT_TRUE(b.accepted);
-  EXPECT_EQ(b.proof_size_bits, 4 * 6);  // 4 ceil(log2 64)
+  // The one-round baseline's width: 4 positions of ceil(log2 n) bits.
+  EXPECT_EQ(protocol_spec(Task::outerplanar).pls_bits(64), 4 * 6);
 }
 
 }  // namespace

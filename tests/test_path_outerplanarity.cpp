@@ -4,6 +4,7 @@
 #include "gen/generators.hpp"
 #include "graph/outerplanar.hpp"
 #include "protocols/path_outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -15,7 +16,7 @@ TEST(PathOuterplanarityProtocol, PerfectCompleteness) {
     const int n = 24 + static_cast<int>(rng.uniform(300));
     const auto gi = random_path_outerplanar(n, 1.0, rng);
     const PathOuterplanarityInstance inst{&gi.graph, gi.order};
-    const Outcome o = run_path_outerplanarity(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << "n=" << n << " t=" << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -25,7 +26,7 @@ TEST(PathOuterplanarityProtocol, CompletenessLargeScale) {
   Rng rng(2);
   const auto gi = random_path_outerplanar(1 << 14, 1.0, rng);
   const PathOuterplanarityInstance inst{&gi.graph, gi.order};
-  EXPECT_TRUE(run_path_outerplanarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(PathOuterplanarityProtocol, RejectsCrossingChords) {
@@ -38,7 +39,7 @@ TEST(PathOuterplanarityProtocol, RejectsCrossingChords) {
     std::vector<NodeId> order(g.n());
     for (int i = 0; i < g.n(); ++i) order[i] = i;
     const PathOuterplanarityInstance inst{&g, order};
-    rejects += !run_path_outerplanarity(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
 }
@@ -50,7 +51,7 @@ TEST(PathOuterplanarityProtocol, RejectsNoHamiltonianPath) {
   for (int t = 0; t < trials; ++t) {
     const Graph g = spider_no_instance(10);
     const PathOuterplanarityInstance inst{&g, std::nullopt};
-    rejects += !run_path_outerplanarity(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);  // spanning-tree stage: multiple path components
 }
@@ -69,7 +70,7 @@ TEST(PathOuterplanarityProtocol, RejectsForgedPathOnYesGraph) {
   ASSERT_FALSE(is_properly_nested(g, order));
   const PathOuterplanarityInstance inst{&g, order};
   int rejects = 0;
-  for (int t = 0; t < 20; ++t) rejects += !run_path_outerplanarity(inst, {3}, rng).accepted;
+  for (int t = 0; t < 20; ++t) rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   EXPECT_EQ(rejects, 20);
 }
 
@@ -77,26 +78,14 @@ TEST(PathOuterplanarityProtocol, ProofSizeDoublyLogarithmic) {
   Rng rng(6);
   const auto g1 = random_path_outerplanar(1 << 10, 1.0, rng);
   const auto g2 = random_path_outerplanar(1 << 18, 1.0, rng);
-  const Outcome o1 = run_path_outerplanarity({&g1.graph, g1.order}, {3}, rng);
-  const Outcome o2 = run_path_outerplanarity({&g2.graph, g2.order}, {3}, rng);
+  const PathOuterplanarityInstance i1{&g1.graph, g1.order};
+  const PathOuterplanarityInstance i2{&g2.graph, g2.order};
+  const Outcome o1 = run_protocol(make_instance(i1), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(i2), {3}, rng);
   ASSERT_TRUE(o1.accepted);
   ASSERT_TRUE(o2.accepted);
   // 2^10 -> 2^18: a log-n scheme grows 1.8x; log log growth stays below ~1.5x.
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 3 / 2);
-}
-
-TEST(PathOuterplanarityProtocol, BaselineAgrees) {
-  Rng rng(7);
-  const auto gi = random_path_outerplanar(200, 1.0, rng);
-  const PathOuterplanarityInstance yes{&gi.graph, gi.order};
-  EXPECT_TRUE(run_path_outerplanarity_baseline_pls(yes).accepted);
-  EXPECT_EQ(run_path_outerplanarity_baseline_pls(yes).rounds, 1);
-
-  const Graph bad = crossing_chords_no_instance(50, rng);
-  std::vector<NodeId> order(bad.n());
-  for (int i = 0; i < bad.n(); ++i) order[i] = i;
-  const PathOuterplanarityInstance no{&bad, order};
-  EXPECT_FALSE(run_path_outerplanarity_baseline_pls(no).accepted);
 }
 
 TEST(PathOuterplanarityProtocol, SparseAndDenseInstances) {
@@ -104,7 +93,7 @@ TEST(PathOuterplanarityProtocol, SparseAndDenseInstances) {
   for (double f : {0.0, 0.3, 2.5}) {
     const auto gi = random_path_outerplanar(500, f, rng);
     const PathOuterplanarityInstance inst{&gi.graph, gi.order};
-    EXPECT_TRUE(run_path_outerplanarity(inst, {3}, rng).accepted) << f;
+    EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted) << f;
   }
 }
 
@@ -114,7 +103,7 @@ TEST(PathOuterplanarityProtocol, PurePathGraph) {
   std::vector<NodeId> order(64);
   for (int i = 0; i < 64; ++i) order[i] = i;
   const PathOuterplanarityInstance inst{&g, order};
-  EXPECT_TRUE(run_path_outerplanarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "graph/outerplanar.hpp"
 #include "graph/planarity.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "support/rng.hpp"
 
 namespace lrdip {
@@ -75,7 +76,7 @@ TEST(PlanarEmbeddingProtocol, Completeness) {
   for (int t = 0; t < 10; ++t) {
     const auto gi = random_planar(100 + 30 * t, 0.4, rng);
     const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
-    const Outcome o = run_planar_embedding(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -84,9 +85,11 @@ TEST(PlanarEmbeddingProtocol, Completeness) {
 TEST(PlanarEmbeddingProtocol, CompletenessGridAndApollonian) {
   Rng rng(4);
   const auto grid = grid_graph(12, 9);
-  EXPECT_TRUE(run_planar_embedding({&grid.graph, &grid.rotation}, {3}, rng).accepted);
+  const PlanarEmbeddingInstance grid_inst{&grid.graph, &grid.rotation};
+  EXPECT_TRUE(run_protocol(make_instance(grid_inst), {3}, rng).accepted);
   const auto apo = random_apollonian(200, rng);
-  EXPECT_TRUE(run_planar_embedding({&apo.graph, &apo.rotation}, {3}, rng).accepted);
+  const PlanarEmbeddingInstance apo_inst{&apo.graph, &apo.rotation};
+  EXPECT_TRUE(run_protocol(make_instance(apo_inst), {3}, rng).accepted);
 }
 
 TEST(PlanarEmbeddingProtocol, RejectsCorruptedRotation) {
@@ -97,7 +100,7 @@ TEST(PlanarEmbeddingProtocol, RejectsCorruptedRotation) {
     if (is_planar_embedding(inst.graph, inst.rotation)) continue;  // not a no-instance
     ++tried;
     const PlanarEmbeddingInstance pe{&inst.graph, &inst.rotation};
-    rejects += !run_planar_embedding(pe, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(pe), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, tried);
 }
@@ -106,8 +109,10 @@ TEST(PlanarEmbeddingProtocol, ProofSizeDoublyLogarithmic) {
   Rng rng(6);
   const auto g1 = random_planar(1 << 10, 0.4, rng);
   const auto g2 = random_planar(1 << 16, 0.4, rng);
-  const Outcome o1 = run_planar_embedding({&g1.graph, &g1.rotation}, {3}, rng);
-  const Outcome o2 = run_planar_embedding({&g2.graph, &g2.rotation}, {3}, rng);
+  const PlanarEmbeddingInstance i1{&g1.graph, &g1.rotation};
+  const PlanarEmbeddingInstance i2{&g2.graph, &g2.rotation};
+  const Outcome o1 = run_protocol(make_instance(i1), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(i2), {3}, rng);
   ASSERT_TRUE(o1.accepted);
   ASSERT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 3 / 2);
@@ -118,7 +123,7 @@ TEST(PlanarityProtocol, CompletenessWithCertificate) {
   for (int t = 0; t < 5; ++t) {
     const auto gi = random_planar(150, 0.4, rng);
     const PlanarityInstance inst{&gi.graph, &gi.rotation};
-    EXPECT_TRUE(run_planarity(inst, {3}, rng).accepted);
+    EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
   }
 }
 
@@ -126,7 +131,7 @@ TEST(PlanarityProtocol, CompletenessWithoutCertificate) {
   Rng rng(8);
   const auto gi = random_planar(80, 0.4, rng);
   const PlanarityInstance inst{&gi.graph, nullptr};
-  EXPECT_TRUE(run_planarity(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(PlanarityProtocol, RejectsPlantedKernels) {
@@ -139,7 +144,7 @@ TEST(PlanarityProtocol, RejectsPlantedKernels) {
                                                              : complete_bipartite(3, 3),
                                       3, rng);
     const PlanarityInstance inst{&g, nullptr};
-    rejects += !run_planarity(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
 }
@@ -163,22 +168,14 @@ TEST(PlanarityProtocol, DegreeTermInProofSize) {
   // Trees are genus 0 under any rotation.
   const RotationSystem wide_rot = RotationSystem::from_adjacency(wide);
   const RotationSystem narrow_rot = RotationSystem::from_adjacency(narrow);
-  const Outcome ow = run_planarity({&wide, &wide_rot}, {3}, rng);
-  const Outcome on = run_planarity({&narrow, &narrow_rot}, {3}, rng);
+  const Outcome ow = run_protocol(make_instance(PlanarityInstance{&wide, &wide_rot}), {3}, rng);
+  const Outcome on = run_protocol(make_instance(PlanarityInstance{&narrow, &narrow_rot}), {3}, rng);
   EXPECT_TRUE(ow.accepted);
   EXPECT_TRUE(on.accepted);
   EXPECT_GT(ow.proof_size_bits, on.proof_size_bits);
   // The delta gap is 2 * (9 - 3) = 12 bits of rotation labels per charged
   // edge; allow slack for block-structure differences.
   EXPECT_GE(ow.proof_size_bits - on.proof_size_bits, 6);
-}
-
-TEST(PlanarityProtocol, BaselineAgrees) {
-  Rng rng(11);
-  const auto gi = random_planar(60, 0.4, rng);
-  EXPECT_TRUE(run_planarity_baseline_pls({&gi.graph, &gi.rotation}).accepted);
-  const Graph bad = plant_subdivision(path_graph(10), complete_graph(5), 2, rng);
-  EXPECT_FALSE(run_planarity_baseline_pls({&bad, nullptr}).accepted);
 }
 
 }  // namespace

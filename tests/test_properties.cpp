@@ -17,6 +17,7 @@
 #include "protocols/outerplanarity.hpp"
 #include "protocols/path_outerplanarity.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
 #include "support/rng.hpp"
 #include "test_instances.hpp"
@@ -36,7 +37,7 @@ TEST_P(LrCompleteness, AlwaysAccepts) {
   const auto [n, density10, seed] = GetParam();
   Rng rng(seed);
   const LrInstance gi = random_lr_yes(n, density10 / 10.0, rng);
-  EXPECT_TRUE(run_lr_sorting(make_lr(gi), {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(make_lr(gi)), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, LrCompleteness,
@@ -50,7 +51,8 @@ TEST_P(PoCompleteness, AlwaysAccepts) {
   const auto [n, density10, seed] = GetParam();
   Rng rng(seed * 31 + 7);
   const auto gi = random_path_outerplanar(n, density10 / 10.0, rng);
-  EXPECT_TRUE(run_path_outerplanarity({&gi.graph, gi.order}, {3}, rng).accepted);
+  const PathOuterplanarityInstance inst{&gi.graph, gi.order};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, PoCompleteness,
@@ -64,7 +66,8 @@ TEST_P(EmbeddingCompleteness, AlwaysAccepts) {
   const auto [n, seed] = GetParam();
   Rng rng(seed * 17 + 3);
   const auto gi = fixtures::planar_host(n, rng);
-  EXPECT_TRUE(run_planar_embedding({&gi.graph, &gi.rotation}, {3}, rng).accepted);
+  const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, EmbeddingCompleteness,
@@ -77,7 +80,8 @@ TEST_P(SpCompleteness, AlwaysAccepts) {
   const auto [n, seed] = GetParam();
   Rng rng(seed * 13 + 11);
   const SpInstance gi = random_series_parallel(n, rng);
-  EXPECT_TRUE(run_series_parallel({&gi.graph, gi.ears}, {3}, rng).accepted);
+  const SeriesParallelInstance inst{&gi.graph, gi.ears};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SpCompleteness,
@@ -91,7 +95,8 @@ TEST_P(OuterplanarityCompleteness, AlwaysAccepts) {
   const auto [n, blocks, seed] = GetParam();
   Rng rng(seed * 101 + 5);
   const auto gi = random_outerplanar_with_cert(n, blocks, rng);
-  EXPECT_TRUE(run_outerplanarity({&gi.graph, gi.block_cycles}, {3}, rng).accepted);
+  const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, OuterplanarityCompleteness,
@@ -219,7 +224,7 @@ TEST_P(LrSoundnessFloor, FlippedEdgesRejected) {
   const int trials = 25;
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(n, 1.0, flips, rng);
-    rejects += !run_lr_sorting(make_lr(gi), {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(make_lr(gi)), {3}, rng).accepted;
   }
   EXPECT_GE(rejects, trials - 1);
 }

@@ -138,41 +138,30 @@ TEST(Registry, CertContractMatchesBindBehavior) {
   }
 }
 
-TEST(Registry, PlsBaselinesCoverAllButEmbedding) {
+// The one-round baseline is a label width only: Theta(log n) for every task,
+// which is what the E-SEP and E-x.y pls_bits columns print.
+TEST(Registry, PlsBitsAreLogarithmic) {
   for (const ProtocolSpec& spec : protocol_registry()) {
-    if (spec.task == Task::embedding) {
-      EXPECT_EQ(spec.run_pls, nullptr);
-    } else {
-      EXPECT_NE(spec.run_pls, nullptr) << spec.name;
-    }
-    EXPECT_GT(spec.pls_bits(1 << 12), 0) << spec.name;
+    const int narrow = spec.pls_bits(1 << 8);
+    EXPECT_GT(narrow, 0) << spec.name;
+    EXPECT_EQ(spec.pls_bits(1 << 16), 2 * narrow) << spec.name;
   }
 }
 
-TEST(Registry, BaselineDispatchMatchesFreeFunction) {
-  Rng rng(31);
-  const BoundInstance bi = make_yes_instance(Task::path_outerplanar, 64, rng);
-  const Outcome via_registry = run_protocol_baseline_pls(bi.view());
-  EXPECT_TRUE(via_registry.accepted);
-  EXPECT_EQ(via_registry.rounds, 1);
-  const BoundInstance be = make_yes_instance(Task::embedding, 64, rng);
-  EXPECT_THROW(run_protocol_baseline_pls(be.view()), InvariantError);
-}
-
-// The run_* free functions are thin wrappers over the registry: same seed,
-// bit-identical Outcome through either door.
-TEST(Registry, WrappersAreBitIdenticalToDispatch) {
+// A parallel edge is the input's defect for every task: bind refuses it
+// (the CLI exits 2, the service answers bad_request) instead of a run
+// tripping an internal check later.
+TEST(Registry, BindRejectsParallelEdges) {
+  GraphFile gf;
+  gf.graph = Graph(3);
+  gf.graph.add_edge(0, 1);
+  gf.graph.add_edge(0, 1);
+  gf.graph.add_edge(1, 2);
+  gf.order = std::vector<NodeId>{0, 1, 2};
+  gf.tails = std::vector<NodeId>{0, 0, 1};
+  gf.rotation = RotationSystem::from_adjacency(gf.graph);
   for (const ProtocolSpec& spec : protocol_registry()) {
-    Rng gen_rng(37);
-    const BoundInstance bi = spec.make_yes(80, gen_rng);
-    Rng r1(41), r2(41);
-    const Outcome a = spec.run(bi.view(), {3}, r1, nullptr);
-    const Outcome b = run_protocol(bi.view(), {3}, r2, nullptr);
-    EXPECT_EQ(a.accepted, b.accepted) << spec.name;
-    EXPECT_EQ(a.rounds, b.rounds) << spec.name;
-    EXPECT_EQ(a.proof_size_bits, b.proof_size_bits) << spec.name;
-    EXPECT_EQ(a.total_label_bits, b.total_label_bits) << spec.name;
-    EXPECT_EQ(a.max_coin_bits, b.max_coin_bits) << spec.name;
+    EXPECT_THROW(bind_instance(spec.task, gf), InvariantError) << spec.name;
   }
 }
 

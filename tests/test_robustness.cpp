@@ -13,6 +13,7 @@
 #include "gen/generators.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/biconnected.hpp"
+#include "graph/embedder.hpp"
 #include "graph/outerplanar.hpp"
 #include "graph/planarity.hpp"
 #include "protocols/spanning_tree_labeled.hpp"
@@ -171,7 +172,7 @@ TEST(CrossValidation, DemoucronSelfConsistent) {
         if (rng.chance(30, 100)) g.add_edge(u, v);
       }
     }
-    const auto rot = planar_embedding(g);
+    const auto rot = demoucron_planar_embedding(g);
     if (rot) {
       ++planar_count;
       if (is_connected(g)) {

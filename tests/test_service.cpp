@@ -174,9 +174,17 @@ TEST(Service, TypedErrorsForEveryBadRequestShape) {
   ASSERT_TRUE(client.call_once(req, &resp));
   EXPECT_EQ(resp.status, ServiceStatus::bad_request);
 
+  // A parallel edge -> bad_request from bind, not internal_error from a
+  // simplicity check inside the run.
+  req = verify_request(9, Task::planarity, 0, BodyKind::inline_graph);
+  req.graph_text = "graph 3 3\ne 0 1\ne 0 1\ne 1 2\n";
+  ASSERT_TRUE(client.call_once(req, &resp));
+  EXPECT_EQ(resp.status, ServiceStatus::bad_request);
+  EXPECT_NE(resp.text.find("simple graph"), std::string::npos) << resp.text;
+
   // sleep_ms without test hooks -> bad_request.
   req.type = MsgType::sleep_ms;
-  req.request_id = 9;
+  req.request_id = 10;
   req.sleep_ms = 10;
   ASSERT_TRUE(client.call_once(req, &resp));
   EXPECT_EQ(resp.status, ServiceStatus::bad_request);

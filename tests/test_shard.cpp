@@ -18,6 +18,7 @@
 #include "gen/shard_gen.hpp"
 #include "graph/shard.hpp"
 #include "protocols/path_outerplanarity.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/shard_verify.hpp"
 #include "support/permute.hpp"
 #include "support/rng.hpp"
@@ -212,7 +213,8 @@ TEST(Shard, RunShardedAcceptsGridFamily) {
 TEST(Shard, MaterializedPathFamilyIsAcceptedByTheProtocol) {
   const PathOuterplanarInstance inst = path_outerplanar_from_shard_params(path_params(700));
   Rng rng(11);
-  const Outcome o = run_path_outerplanarity({&inst.graph, inst.order}, {3}, rng);
+  const PathOuterplanarityInstance po{&inst.graph, inst.order};
+  const Outcome o = run_protocol(make_instance(po), {3}, rng);
   EXPECT_TRUE(o.accepted);
 }
 

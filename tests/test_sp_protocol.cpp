@@ -3,6 +3,7 @@
 #include "support/check.hpp"
 #include "gen/generators.hpp"
 #include "graph/series_parallel.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
 #include "support/rng.hpp"
 
@@ -14,7 +15,7 @@ TEST(SeriesParallelProtocol, CompletenessWithCertificate) {
   for (int t = 0; t < 10; ++t) {
     const SpInstance gi = random_series_parallel(60 + 20 * t, rng);
     const SeriesParallelInstance inst{&gi.graph, gi.ears};
-    const Outcome o = run_series_parallel(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -24,15 +25,17 @@ TEST(SeriesParallelProtocol, CompletenessWithoutCertificate) {
   Rng rng(2);
   const SpInstance gi = random_series_parallel(80, rng);
   const SeriesParallelInstance inst{&gi.graph, std::nullopt};
-  EXPECT_TRUE(run_series_parallel(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(SeriesParallelProtocol, CompletenessBasicShapes) {
   Rng rng(3);
   const Graph cyc = cycle_graph(24);
-  EXPECT_TRUE(run_series_parallel({&cyc, std::nullopt}, {3}, rng).accepted);
+  const SeriesParallelInstance cyc_inst{&cyc, std::nullopt};
+  EXPECT_TRUE(run_protocol(make_instance(cyc_inst), {3}, rng).accepted);
   const Graph pth = path_graph(24);
-  EXPECT_TRUE(run_series_parallel({&pth, std::nullopt}, {3}, rng).accepted);
+  const SeriesParallelInstance pth_inst{&pth, std::nullopt};
+  EXPECT_TRUE(run_protocol(make_instance(pth_inst), {3}, rng).accepted);
 }
 
 TEST(SeriesParallelProtocol, RejectsK4Chord) {
@@ -43,7 +46,7 @@ TEST(SeriesParallelProtocol, RejectsK4Chord) {
     const Graph g = series_parallel_no_instance(60, rng);
     ASSERT_FALSE(is_series_parallel(g));
     const SeriesParallelInstance inst{&g, std::nullopt};
-    rejects += !run_series_parallel(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
 }
@@ -53,7 +56,7 @@ TEST(SeriesParallelProtocol, RejectsK4Subdivision) {
   const Graph g = plant_subdivision(Graph(0), complete_graph(4), 4, rng);
   const SeriesParallelInstance inst{&g, std::nullopt};
   for (int t = 0; t < 5; ++t) {
-    EXPECT_FALSE(run_series_parallel(inst, {3}, rng).accepted);
+    EXPECT_FALSE(run_protocol(make_instance(inst), {3}, rng).accepted);
   }
 }
 
@@ -61,8 +64,10 @@ TEST(SeriesParallelProtocol, ProofSizeDoublyLogarithmic) {
   Rng rng(6);
   const SpInstance g1 = random_series_parallel(1 << 10, rng);
   const SpInstance g2 = random_series_parallel(1 << 16, rng);
-  const Outcome o1 = run_series_parallel({&g1.graph, g1.ears}, {3}, rng);
-  const Outcome o2 = run_series_parallel({&g2.graph, g2.ears}, {3}, rng);
+  const SeriesParallelInstance i1{&g1.graph, g1.ears};
+  const SeriesParallelInstance i2{&g2.graph, g2.ears};
+  const Outcome o1 = run_protocol(make_instance(i1), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(i2), {3}, rng);
   ASSERT_TRUE(o1.accepted);
   ASSERT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 3 / 2);
@@ -73,7 +78,7 @@ TEST(Treewidth2Protocol, Completeness) {
   for (int t = 0; t < 8; ++t) {
     const Tw2CertInstance gi = random_treewidth2_with_cert(150, 3, rng);
     const Treewidth2Instance inst{&gi.graph, gi.block_ears};
-    const Outcome o = run_treewidth2(inst, {3}, rng);
+    const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << t;
     EXPECT_EQ(o.rounds, 5);
   }
@@ -83,7 +88,7 @@ TEST(Treewidth2Protocol, CompletenessWithoutCertificate) {
   Rng rng(8);
   const Tw2CertInstance gi = random_treewidth2_with_cert(90, 3, rng);
   const Treewidth2Instance inst{&gi.graph, std::nullopt};
-  EXPECT_TRUE(run_treewidth2(inst, {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(Treewidth2Protocol, RejectsPlantedK4) {
@@ -94,19 +99,9 @@ TEST(Treewidth2Protocol, RejectsPlantedK4) {
     const Graph g = treewidth2_no_instance(120, 3, rng);
     ASSERT_FALSE(is_treewidth_at_most_2(g));
     const Treewidth2Instance inst{&g, std::nullopt};
-    rejects += !run_treewidth2(inst, {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
-}
-
-TEST(Treewidth2Protocol, BaselinesAgree) {
-  Rng rng(10);
-  const Tw2CertInstance yes = random_treewidth2_with_cert(90, 3, rng);
-  EXPECT_TRUE(run_treewidth2_baseline_pls({&yes.graph, {}}).accepted);
-  const Graph no = treewidth2_no_instance(90, 3, rng);
-  EXPECT_FALSE(run_treewidth2_baseline_pls({&no, {}}).accepted);
-  const SpInstance sp = random_series_parallel(60, rng);
-  EXPECT_TRUE(run_series_parallel_baseline_pls({&sp.graph, sp.ears}).accepted);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "protocols/lr_sorting.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "protocols/planar_embedding.hpp"
+#include "protocols/registry.hpp"
 #include "protocols/spanning_tree_labeled.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -146,7 +147,7 @@ Outcome run_lr_fixed() {
   inst.order = gi.order;
   inst.tail = lr_claimed_tails(gi);
   Rng rng(777);
-  return run_lr_sorting(inst, {3}, rng);
+  return run_protocol(make_instance(inst), {3}, rng);
 }
 
 Outcome run_outerplanarity_fixed() {
@@ -154,7 +155,7 @@ Outcome run_outerplanarity_fixed() {
   const auto gi = random_outerplanar_with_cert(600, 6, gen);
   const OuterplanarityInstance inst{&gi.graph, gi.block_cycles};
   Rng rng(888);
-  return run_outerplanarity(inst, {3}, rng);
+  return run_protocol(make_instance(inst), {3}, rng);
 }
 
 Outcome run_planar_embedding_fixed() {
@@ -162,7 +163,7 @@ Outcome run_planar_embedding_fixed() {
   const auto gi = random_planar(400, 0.4, gen);
   const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
   Rng rng(999);
-  return run_planar_embedding(inst, {3}, rng);
+  return run_protocol(make_instance(inst), {3}, rng);
 }
 
 Outcome run_spanning_tree_labeled_fixed() {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 
 #include "support/bits.hpp"
 #include "support/check.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -84,6 +86,19 @@ TEST(Bits, Widths) {
 TEST(Check, ThrowsInvariantError) {
   EXPECT_THROW(LRDIP_CHECK(false), InvariantError);
   EXPECT_NO_THROW(LRDIP_CHECK(true));
+}
+
+TEST(ParseNumber, AcceptsOnlyAWholeNumberInRange) {
+  EXPECT_EQ(parse_number<int>("12"), 12);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  for (const char* bad : {"", "12junk", "256x", " 12", "+12", "1 2", "abc", "0x10"}) {
+    EXPECT_FALSE(parse_number<int>(bad).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_number<int>("99999999999").has_value());  // overflow
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1").has_value());
+  EXPECT_FALSE(parse_number<double>("0.25x").has_value());
 }
 
 TEST(Table, FormatsRows) {

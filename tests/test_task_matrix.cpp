@@ -133,7 +133,8 @@ TEST(TaskMatrix, GridInstance) {
   EXPECT_FALSE(v.outerplanar);
   EXPECT_FALSE(v.treewidth2);
   // And the embedding task accepts its natural rotation.
-  EXPECT_TRUE(run_planar_embedding({&gi.graph, &gi.rotation}, {3}, rng).accepted);
+  const PlanarEmbeddingInstance inst{&gi.graph, &gi.rotation};
+  EXPECT_TRUE(run_protocol(make_instance(inst), {3}, rng).accepted);
 }
 
 TEST(TaskMatrix, CycleInstance) {

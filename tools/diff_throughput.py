@@ -73,31 +73,20 @@ def report_phi_batch(doc):
 
 
 def report_planarity(doc):
-    """Summarize the BM_Planarity centralized-engine rows: per instance size,
-    the per-iteration time of each engine (bm = Boyer-Myrvold edge addition,
-    demoucron = the face-expansion oracle) and the bm speedup. Skipped
-    silently when the baseline predates the engine benchmarks."""
+    """Summarize the BM_Planarity rows: per instance size, the Boyer-Myrvold
+    planar_embedding time per iteration and per node. Skipped silently when
+    the baseline predates the benchmark."""
     rows = {}
     for b in iteration_rows(doc):
         name = b.get("name", "")
-        if not name.startswith("BM_Planarity/"):
-            continue
-        parts = name.split("/")
-        size = int(parts[1])
-        engine = b.get("label") or ("bm" if parts[2] == "0" else "demoucron")
-        rows.setdefault(size, {})[engine] = float(
-            b.get("cpu_time", b.get("real_time", 0.0)))
+        if name.startswith("BM_Planarity/"):
+            rows[int(name.split("/")[1])] = float(b.get("cpu_time", b.get("real_time", 0.0)))
     if not rows:
         return
-    print("\nBM_Planarity centralized engines (planar_embedding, ns/iter)")
-    print(f"{'n':>10} {'bm':>14} {'demoucron':>14} {'bm speedup':>11}")
+    print("\nBM_Planarity Boyer-Myrvold engine (planar_embedding)")
+    print(f"{'n':>10} {'ns/iter':>14} {'ns/node':>10}")
     for size in sorted(rows):
-        bm = rows[size].get("bm")
-        demo = rows[size].get("demoucron")
-        bm_s = f"{bm:>14.0f}" if bm is not None else f"{'-':>14}"
-        demo_s = f"{demo:>14.0f}" if demo is not None else f"{'-':>14}"
-        speed = (f"{demo / bm:>10.1f}x" if bm and demo else f"{'-':>11}")
-        print(f"{size:>10} {bm_s} {demo_s} {speed}")
+        print(f"{size:>10} {rows[size]:>14.0f} {rows[size] / size:>10.1f}")
 
 
 def main():

@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "obs/service_stats.hpp"
 #include "service/client.hpp"
 #include "support/digest.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -295,15 +297,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_ll(const char* s, long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,14 +304,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_val = i + 1 < argc;
-    long long v = 0;
+    const std::optional<long long> num =
+        has_val ? lrdip::parse_number<long long>(argv[i + 1]) : std::nullopt;
+    const long long v = num.value_or(0);
     if (arg == "--chaos") {
       opt.chaos = true;
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--socket" && has_val) {
       opt.socket_path = argv[++i];
-    } else if (has_val && parse_ll(argv[i + 1], &v)) {
+    } else if (num) {
       ++i;
       if (arg == "--seconds" && v >= 1) {
         opt.seconds = static_cast<double>(v);

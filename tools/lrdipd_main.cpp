@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "service/server.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -38,15 +40,6 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_ll(const char* s, long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,12 +48,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_val = i + 1 < argc;
-    long long v = 0;
+    const std::optional<long long> num =
+        has_val ? lrdip::parse_number<long long>(argv[i + 1]) : std::nullopt;
+    const long long v = num.value_or(0);
     if (arg == "--enable-test-hooks") {
       cfg.enable_test_hooks = true;
     } else if (arg == "--socket" && has_val) {
       cfg.socket_path = argv[++i];
-    } else if (has_val && parse_ll(argv[i + 1], &v)) {
+    } else if (num) {
       ++i;
       if (arg == "--workers" && v >= 1) {
         cfg.worker_threads = static_cast<int>(v);
