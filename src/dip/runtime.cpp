@@ -23,6 +23,27 @@ Outcome run_item(const BatchItem& it, const RunOptions& opt) {
   return run_protocol(it.inst, opt, rng, it.faults);
 }
 
+/// The batch scheduler behind run_batch and run_batch_isolated; `run(idx)`
+/// executes item idx and writes only that item's result slot.
+template <typename F>
+void schedule(std::span<const BatchItem> items, int small_instance_threshold, F&& run) {
+  std::vector<std::size_t> small;
+  std::vector<std::size_t> large;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    (items[i].inst.graph().n() < small_instance_threshold ? small : large).push_back(i);
+  }
+  // Across-instance axis: one whole execution per worker (grain 1). The
+  // engine inlines nested parallel regions on workers, so each execution is
+  // byte-identical to running alone on one thread; writes are disjoint, so
+  // the batch result is thread-count-invariant.
+  parallel_for(
+      static_cast<std::int64_t>(small.size()),
+      [&](std::int64_t i) { run(small[static_cast<std::size_t>(i)]); },
+      /*grain=*/1);
+  // Within-instance axis: sequential over items, full pool inside each.
+  for (const std::size_t idx : large) run(idx);
+}
+
 }  // namespace
 
 std::vector<BatchItem> replicate_item(const Instance& inst, std::uint64_t seed0, int k) {
@@ -44,26 +65,8 @@ Outcome Runtime::run(const Instance& inst, Rng& rng, FaultInjector* faults) cons
 
 std::vector<Outcome> Runtime::run_batch(std::span<const BatchItem> items) const {
   std::vector<Outcome> out(items.size());
-  std::vector<std::size_t> small;
-  std::vector<std::size_t> large;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    (items[i].inst.graph().n() < cfg_.small_instance_threshold ? small : large).push_back(i);
-  }
-  // Across-instance axis: one whole execution per worker (grain 1). The
-  // engine inlines nested parallel regions on workers, so each execution is
-  // byte-identical to running alone on one thread; writes are disjoint
-  // (out[idx]), so the batch result is thread-count-invariant.
-  parallel_for(
-      static_cast<std::int64_t>(small.size()),
-      [&](std::int64_t i) {
-        const std::size_t idx = small[static_cast<std::size_t>(i)];
-        out[idx] = run_item(items[idx], cfg_.options);
-      },
-      /*grain=*/1);
-  // Within-instance axis: sequential over items, full pool inside each.
-  for (const std::size_t idx : large) {
-    out[idx] = run_item(items[idx], cfg_.options);
-  }
+  schedule(items, cfg_.small_instance_threshold,
+           [&](std::size_t idx) { out[idx] = run_item(items[idx], cfg_.options); });
   return out;
 }
 
@@ -120,15 +123,10 @@ ShardRunReport Runtime::run_sharded(const std::string& manifest_path,
 
 std::vector<ItemResult> Runtime::run_batch_isolated(std::span<const BatchItem> items) const {
   std::vector<ItemResult> out(items.size());
-  std::vector<std::size_t> small;
-  std::vector<std::size_t> large;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    (items[i].inst.graph().n() < cfg_.small_instance_threshold ? small : large).push_back(i);
-  }
   // The isolation boundary: whatever one execution does — a deadline firing
   // at a chunk checkpoint, a defective certificate tripping an invariant —
   // lands in that item's slot and nowhere else.
-  const auto run_isolated = [&](std::size_t idx) {
+  schedule(items, cfg_.small_instance_threshold, [&](std::size_t idx) {
     ItemResult& r = out[idx];
     try {
       r.outcome = run_item(items[idx], cfg_.options);
@@ -140,12 +138,7 @@ std::vector<ItemResult> Runtime::run_batch_isolated(std::span<const BatchItem> i
       r.status = ItemStatus::error;
       r.error = ex.what();
     }
-  };
-  parallel_for(
-      static_cast<std::int64_t>(small.size()),
-      [&](std::int64_t i) { run_isolated(small[static_cast<std::size_t>(i)]); },
-      /*grain=*/1);
-  for (const std::size_t idx : large) run_isolated(idx);
+  });
   return out;
 }
 

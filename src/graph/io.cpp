@@ -58,6 +58,7 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
   std::vector<char> rotation_row_seen;
   long long rotation_rows = 0;
   long long rotation_entries = 0;
+  int tails_line = 0;
 
   while (!p.failed && std::getline(in, line)) {
     ++lineno;
@@ -119,17 +120,19 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
       }
       std::vector<NodeId> order;
       order.reserve(static_cast<std::size_t>(n));
+      std::vector<char> listed(static_cast<std::size_t>(n), 0);
       long long v = 0;
       Tok t = Tok::end;
       while ((t = read_int(ss, 0, n - 1, &v)) == Tok::ok) {
-        if (static_cast<long long>(order.size()) >= n) {
+        if (static_cast<long long>(order.size()) >= n || listed[static_cast<std::size_t>(v)]) {
           t = Tok::bad;
           break;
         }
+        listed[static_cast<std::size_t>(v)] = 1;
         order.push_back(static_cast<NodeId>(v));
       }
       if (t == Tok::bad || static_cast<long long>(order.size()) != n) {
-        p.fail(lineno, "order must list n in-range nodes");
+        p.fail(lineno, "order must list every node exactly once");
         break;
       }
       gf.order = std::move(order);
@@ -154,6 +157,7 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
         break;
       }
       gf.tails = std::move(tails);
+      tails_line = lineno;
     } else if (tok == "rotation") {
       if (n == -1) {
         p.fail(lineno, "rotation before graph header");
@@ -198,6 +202,18 @@ GraphReadResult read_graph_checked_impl(std::istream& in, const GraphReadLimits&
   }
   if (!p.failed && n == -1) p.fail(lineno, "missing graph header");
   if (!p.failed && edges_seen != m) p.fail(lineno, "edge count mismatch");
+  if (!p.failed && gf.tails) {
+    // Edges may follow the tails line, so endpoints are checked only now.
+    for (EdgeId e = 0; e < gf.graph.m(); ++e) {
+      const auto [u, v] = gf.graph.endpoints(e);
+      const NodeId t = (*gf.tails)[static_cast<std::size_t>(e)];
+      if (t != u && t != v) {
+        p.fail(tails_line, "tails entry " + std::to_string(t) + " is not an endpoint of edge " +
+                               std::to_string(e));
+        break;
+      }
+    }
+  }
   if (!p.failed && in_rotation) {
     if (rotation_rows != n) {
       p.fail(lineno, "rotation must cover every node");

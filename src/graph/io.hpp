@@ -4,9 +4,9 @@
 //   graph <n> <m>
 //   e <u> <v>          x m          (0-based endpoints, edge ids in file order)
 // optional sections, each introduced by one keyword line:
-//   order <v0> <v1> ... <v_{n-1}>   (a Hamiltonian path / node ordering)
+//   order <v0> <v1> ... <v_{n-1}>   (a Hamiltonian path: each node once)
 //   rotation                         (then n lines: "r <v> <e1> <e2> ...")
-//   tails <t0> ... <t_{m-1}>         (orientation: tail node id per edge)
+//   tails <t0> ... <t_{m-1}>         (orientation: an endpoint of each edge)
 //
 // Used by the CLI, the service and the examples; intentionally minimal and
 // strict. Two reader surfaces:

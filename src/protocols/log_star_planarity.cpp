@@ -41,34 +41,6 @@ constexpr std::size_t kFDl = 0;  // edge: divergence level (dl_bits)
 /// what keeps the per-level chain fields O(1) bits.
 constexpr std::uint64_t kBaseFieldFloor = 126;
 
-struct PathLocal {
-  std::vector<int> pos;        // position of node on the path
-  std::vector<NodeId> left;    // path neighbor to the left (-1 at the left end)
-  std::vector<NodeId> right;   // path neighbor to the right
-  std::vector<char> is_path_edge;
-};
-
-PathLocal path_locals(const LogStarPlanarityInstance& inst) {
-  const Graph& g = *inst.graph;
-  const int n = g.n();
-  LRDIP_CHECK(static_cast<int>(inst.order.size()) == n);
-  PathLocal pl;
-  pl.pos.assign(n, -1);
-  pl.left.assign(n, -1);
-  pl.right.assign(n, -1);
-  for (int i = 0; i < n; ++i) pl.pos[inst.order[i]] = i;
-  for (int i = 0; i < n; ++i) {
-    if (i > 0) pl.left[inst.order[i]] = inst.order[i - 1];
-    if (i + 1 < n) pl.right[inst.order[i]] = inst.order[i + 1];
-  }
-  pl.is_path_edge.assign(g.m(), 0);
-  for (EdgeId e = 0; e < g.m(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    if (std::abs(pl.pos[u] - pl.pos[v]) == 1) pl.is_path_edge[e] = 1;
-  }
-  return pl;
-}
-
 /// One level of the tower tiling over path positions 0..n-1. Units at level
 /// 0 (B_1 blocks) tile the whole path; units at level k subdivide each
 /// level-(k-1) unit into pieces of exactly B_{k+1} nodes, the last absorbing
@@ -148,10 +120,6 @@ int log_star_rounds(int n) {
   return levels == 0 ? 1 : 2 * levels + 1;
 }
 
-LrSortingInstance as_lr_sorting(const LogStarPlanarityInstance& inst) {
-  return {inst.graph, inst.order, inst.tail, inst.accountable};
-}
-
 StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst, const RunOptions& opt,
                                      Rng& rng, FaultInjector* faults) {
   const obs::ScopedTimer timer("log_star_planarity_stage");
@@ -163,7 +131,7 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst, const
   const PathLocal pl = path_locals(inst);
 
   const std::vector<int> bs = log_star_tower(n);
-  if (bs.empty()) return lr_trivial_position_stage(as_lr_sorting(inst), faults);
+  if (bs.empty()) return lr_trivial_position_stage(inst, faults);
   const int levels = static_cast<int>(bs.size());
   const int bl = bs[static_cast<std::size_t>(levels - 1)];
   const int nb = n / bs[0];
@@ -565,7 +533,6 @@ StageResult log_star_planarity_stage(const LogStarPlanarityInstance& inst, const
     }
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
 
   // ---- Accounting (analytic: what the honest prover sent).
   out.node_bits.assign(static_cast<std::size_t>(n), 0);

@@ -70,17 +70,9 @@ namespace lrdip {
 
 class FaultInjector;
 
-/// Same certificate payload as LrSortingInstance (the family is shared); a
-/// distinct type so the registry's InstanceRef variant can tag the task.
-struct LogStarPlanarityInstance {
-  const Graph* graph = nullptr;
-  /// Ground-truth left-to-right order of the Hamiltonian path.
-  std::vector<NodeId> order;
-  /// Orientation claim: edge e is directed tail[e] -> head.
-  std::vector<NodeId> tail;
-  /// Optional precomputed accountable endpoints (see LrSortingInstance).
-  std::vector<NodeId> accountable;
-};
+/// The LR-sorting certificate payload (the family is shared); a distinct
+/// type so the registry's InstanceRef variant can tag the task.
+struct LogStarPlanarityInstance : LrSortingInstance {};
 
 /// Tower sizes B_1, ..., B_L for path length n (empty when the trivial
 /// fallback runs). B_1 = ceil(log2 n), B_{k+1} = ceil(log2 (2 B_k)),
@@ -92,10 +84,6 @@ int log_star_levels(int n);
 
 /// Interaction rounds at size n: 2 L(n) + 1, or 1 on the trivial fallback.
 int log_star_rounds(int n);
-
-/// Borrow the certificate payload as the shared LR instance shape (used by
-/// the trivial fallback).
-LrSortingInstance as_lr_sorting(const LogStarPlanarityInstance& inst);
 
 /// `faults`, when non-null, corrupts the recorded transcript (structure
 /// labels, edge divergence labels, chain labels, public coins) between prover

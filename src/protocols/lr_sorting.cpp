@@ -41,12 +41,7 @@ constexpr std::size_t kFKind = 0;  // edge: 0 = inner, 1 = outer
 constexpr std::size_t kFDist = 1;  // outer edge: distinguishing index (dist_bits)
 constexpr std::size_t kFJ = 2;     // outer edge: claimed phi prefix value (fbits)
 
-struct PathLocal {
-  std::vector<int> pos;        // position of node on the path
-  std::vector<NodeId> left;    // path neighbor to the left (-1 at the left end)
-  std::vector<NodeId> right;   // path neighbor to the right
-  std::vector<char> is_path_edge;
-};
+}  // namespace
 
 PathLocal path_locals(const LrSortingInstance& inst) {
   const Graph& g = *inst.graph;
@@ -68,8 +63,6 @@ PathLocal path_locals(const LrSortingInstance& inst) {
   }
   return pl;
 }
-
-}  // namespace
 
 /// Trivial one-round protocol for paths too short for the block machinery:
 /// label every node with its position. The labels go through a store so the
@@ -114,7 +107,6 @@ StageResult lr_trivial_position_stage(const LrSortingInstance& inst, FaultInject
     if (pl.right[v] != -1) verdict.require(pos_d[v] + 1 == pos_d[pl.right[v]]);
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
   // The decision reduces to the direct comparison per non-path edge.
   for (EdgeId e = 0; e < g.m(); ++e) {
     if (pl.is_path_edge[e]) continue;
@@ -765,7 +757,6 @@ StageResult lr_sorting_stage(const LrSortingInstance& inst, const RunOptions& op
     }
     return true;
   });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
 
   // ---- Accounting (analytic: what the honest prover sent).
   out.node_bits.assign(n, 0);

@@ -63,6 +63,18 @@ struct LrSortingInstance {
   std::vector<NodeId> accountable;
 };
 
+/// What each node of an LR-family instance knows about the Hamiltonian path:
+/// its position, its path neighbors, and which edges are path edges. Shared
+/// by LR-sorting and the log-star protocol.
+struct PathLocal {
+  std::vector<int> pos;        // position of node on the path
+  std::vector<NodeId> left;    // path neighbor to the left (-1 at the left end)
+  std::vector<NodeId> right;   // path neighbor to the right
+  std::vector<char> is_path_edge;
+};
+
+PathLocal path_locals(const LrSortingInstance& inst);
+
 /// Optional adversarial deviations beyond the instance's own lie. Each knob
 /// targets one verification stage, so the soundness experiments can attribute
 /// rejections.

@@ -62,10 +62,8 @@ StageResult verify_multiset_equality(const Graph& g, const RootedForest& tree,
   }
 
   // --- Decision: recurrences, z propagation, root comparison.
-  StageResult out;
-  out.node_accepts.assign(n, 1);
+  StageResult out = empty_stage(n);
   out.node_bits.assign(n, fbits * 3);  // z copy + A1 + A2
-  out.coin_bits.assign(n, 0);
   out.coin_bits[root] = fbits;
   out.rounds = 2;
   // Decision cost per node is its multiset sizes plus its child count, so
@@ -76,7 +74,9 @@ StageResult verify_multiset_equality(const Graph& g, const RootedForest& tree,
         decide_cost[static_cast<std::size_t>(v)] + 1 +
         static_cast<std::int64_t>(in.s1[v].size() + in.s2[v].size() + children[v].size());
   }
-  out.node_accepts = decide_nodes(n, decide_cost, [&](NodeId v) {
+  // Nothing in the body throws (it repeats the prover loop above: field
+  // arithmetic and in-range indexing), so every reject here is check_failed.
+  out.node_reasons = decide_nodes_reasons(n, decide_cost, [&](NodeId v, LocalVerdict&) {
     // phi_product is value-identical to Fp::multiset_poly at every dispatch
     // level (see field/fp_simd.hpp), so the decision stays deterministic.
     std::uint64_t p1 = fp_simd::phi_product(f, in.s1[v], z);
@@ -87,7 +87,7 @@ StageResult verify_multiset_equality(const Graph& g, const RootedForest& tree,
     }
     return a1[v] == p1 && a2[v] == p2;
   });
-  if (a1[root] != a2[root]) out.node_accepts[root] = 0;
+  if (a1[root] != a2[root]) out.reject(root);
   return out;
 }
 

@@ -91,10 +91,8 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOp
   // Coins: every cut node and every block leader draws an ls-bit fragment.
   // Labels: every node carries (sep, lead) of its home block; checks relay
   // them along P'_C and across all incident edges.
-  StageResult stage1;
-  stage1.node_accepts.assign(n, 1);
+  StageResult stage1 = empty_stage(n);
   stage1.node_bits.assign(n, 2 * (ls + 1) + 2 + 4);  // sep/lead (+bottom), flags, d(C) mod 3
-  stage1.coin_bits.assign(n, 0);
   stage1.rounds = 3;
   {
     // Home block of every node: the block closest to the root.
@@ -179,7 +177,6 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOp
       }
       return true;
     });
-    stage1.node_accepts = accepts_from_reasons(stage1.node_reasons);
     // Leaders check the separating fragment across the closing edge e_C.
     for (int b = 0; b < nblocks; ++b) {
       const NodeId lead = leader_of[b];
@@ -211,10 +208,8 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOp
       parent = bfs_tree(g, 0).parent;
     }
     const ForestEncoding enc = encode_forest(g, parent);
-    StageResult commit;
-    commit.node_accepts.assign(n, 1);
+    StageResult commit = empty_stage(n);
     commit.node_bits.assign(n, enc.bits_per_node());
-    commit.coin_bits.assign(n, 0);
     commit.rounds = 1;
     result = compose_parallel(result, commit);
     result = compose_parallel(result, verify_spanning_tree(g, parent, reps, rng, faults));
@@ -247,7 +242,7 @@ StageResult outerplanarity_stage(const OuterplanarityInstance& inst, const RunOp
     const NodeId sep = bct.separating_node[b];
     for (NodeId w = 0; w < sub.graph.n(); ++w) {
       const NodeId host = sub.node_to_orig[w];
-      if (!sr.node_accepts[w]) {
+      if (sr.reason(w) != RejectReason::none) {
         for (NodeId x : nodes) result.reject(x, sr.reason(w));
       }
       if (host == sep) {

@@ -178,7 +178,6 @@ StageResult path_outerplanarity_stage(const PathOuterplanarityInstance& inst, co
         verdict.require(decode_forest_children(g, v, code_of).size() <= 1);
         return true;
       });
-  commit.node_accepts = accepts_from_reasons(commit.node_reasons);
   const int reps = po_repetitions(n, opt.c);
   StageResult st = verify_spanning_tree(g, decoded_parent, reps, rng, faults);
   StageResult result = compose_parallel(commit, st);

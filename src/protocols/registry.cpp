@@ -1,6 +1,8 @@
 #include "protocols/registry.hpp"
 
 #include <array>
+#include <type_traits>
+#include <utility>
 
 #include "gen/generators.hpp"
 #include "graph/degeneracy.hpp"
@@ -12,244 +14,79 @@ namespace lrdip {
 namespace {
 
 // ------------------------------------------------------------------ run fns
-//
-// Each entry point is the task's full execution: RunScope (metrics record
-// keyed by the canonical task name) around the stage composition.
 
-Outcome run_lr(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const LrSortingInstance& inst = *std::get<const LrSortingInstance*>(i.ref);
-  const obs::RunScope run("lr-sorting", inst.graph->n(), inst.graph->m());
-  return finalize(lr_sorting_stage(inst, opt, rng, nullptr, faults));
+/// A row's full execution: RunScope (metrics record keyed by the row's
+/// canonical name) around the task's stage composition.
+template <typename Inst, StageResult (*stage)(const Inst&, const RunOptions&, Rng&, FaultInjector*)>
+Outcome run_row(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
+  const Inst& inst = *std::get<const Inst*>(i.ref);
+  const obs::RunScope run(task_name(i.task()), inst.graph->n(), inst.graph->m());
+  return finalize(stage(inst, opt, rng, faults));
 }
 
-Outcome run_po(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const PathOuterplanarityInstance& inst = *std::get<const PathOuterplanarityInstance*>(i.ref);
-  const obs::RunScope run("path-outerplanar", inst.graph->n(), inst.graph->m());
-  return finalize(path_outerplanarity_stage(inst, opt, rng, faults));
+/// The honest lr-sorting stage (no cheat spec) in the shared stage shape.
+StageResult lr_honest_stage(const LrSortingInstance& inst, const RunOptions& opt, Rng& rng,
+                            FaultInjector* faults) {
+  return lr_sorting_stage(inst, opt, rng, nullptr, faults);
 }
-
-Outcome run_op(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const OuterplanarityInstance& inst = *std::get<const OuterplanarityInstance*>(i.ref);
-  const obs::RunScope run("outerplanar", inst.graph->n(), inst.graph->m());
-  return finalize(outerplanarity_stage(inst, opt, rng, faults));
-}
-
-Outcome run_pe(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const PlanarEmbeddingInstance& inst = *std::get<const PlanarEmbeddingInstance*>(i.ref);
-  const obs::RunScope run("embedding", inst.graph->n(), inst.graph->m());
-  return finalize(planar_embedding_stage(inst, opt, rng, faults));
-}
-
-Outcome run_pl(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const PlanarityInstance& inst = *std::get<const PlanarityInstance*>(i.ref);
-  const obs::RunScope run("planarity", inst.graph->n(), inst.graph->m());
-  return finalize(planarity_stage(inst, opt, rng, faults));
-}
-
-Outcome run_sp(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const SeriesParallelInstance& inst = *std::get<const SeriesParallelInstance*>(i.ref);
-  const obs::RunScope run("series-parallel", inst.graph->n(), inst.graph->m());
-  return finalize(series_parallel_stage(inst, opt, rng, faults));
-}
-
-Outcome run_tw(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const Treewidth2Instance& inst = *std::get<const Treewidth2Instance*>(i.ref);
-  const obs::RunScope run("treewidth2", inst.graph->n(), inst.graph->m());
-  return finalize(treewidth2_stage(inst, opt, rng, faults));
-}
-
-Outcome run_ls(const Instance& i, const RunOptions& opt, Rng& rng, FaultInjector* faults) {
-  const LogStarPlanarityInstance& inst = *std::get<const LogStarPlanarityInstance*>(i.ref);
-  const obs::RunScope run("log-star-planarity", inst.graph->n(), inst.graph->m());
-  return finalize(log_star_planarity_stage(inst, opt, rng, faults));
-}
-
-// Textbook one-round PLS label widths (the E-SEP comparison column).
-int bits_lr(int n) { return ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_po(int n) { return 3 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_op(int n) { return 4 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_pe(int n) { return 3 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_pl(int n) { return 6 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_sp(int n) { return 4 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_tw(int n) { return 4 * ceil_log2(static_cast<std::uint64_t>(n)); }
-int bits_ls(int n) { return ceil_log2(static_cast<std::uint64_t>(n)); }
 
 // -------------------------------------------------------- instance adapters
 
-/// Wraps a heap-held per-task struct (field `inst`) as a BoundInstance.
-template <typename Holder>
-BoundInstance hold(std::shared_ptr<Holder> h) {
-  const Instance view = make_instance(h->inst);
+/// The task tag of a per-task instance type (its InstanceRef alternative).
+template <typename Inst>
+constexpr Task task_of = static_cast<Task>(InstanceRef(static_cast<const Inst*>(nullptr)).index());
+
+/// Heap-holds a per-task struct that borrows from a caller-owned GraphFile.
+template <typename Inst>
+BoundInstance own(Inst inst) {
+  auto h = std::make_shared<Inst>(std::move(inst));
+  const Instance view = make_instance(*h);
   return BoundInstance(std::move(h), view);
 }
 
-/// Same, but attaching the generator's obstruction witness (edge ids).
-template <typename Holder>
-BoundInstance hold_with_witness(std::shared_ptr<Holder> h, std::vector<EdgeId> witness) {
+/// Heap-holds a generator's output next to the per-task struct `make` builds
+/// over it (after the move, so every pointer targets the held copy), plus
+/// the generator's obstruction witness when it has one.
+template <typename Gen, typename Make>
+BoundInstance own(Gen gen, Make make, std::vector<EdgeId> witness = {}) {
+  using Inst = std::invoke_result_t<Make, const Gen&>;
+  struct Held {
+    Gen gen;
+    Inst inst;
+  };
+  auto h = std::make_shared<Held>(Held{std::move(gen), Inst{}});
+  h->inst = make(h->gen);
   const Instance view = make_instance(h->inst);
   return BoundInstance(std::move(h), view, std::move(witness));
-}
-
-BoundInstance bind_lr(const GraphFile& gf) {
-  LRDIP_CHECK_MSG(gf.order.has_value(), "lr-sorting needs an 'order' section");
-  LRDIP_CHECK_MSG(gf.tails.has_value(), "lr-sorting needs a 'tails' section");
-  struct H {
-    LrSortingInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, *gf.order, *gf.tails, {}}}));
-}
-
-BoundInstance bind_po(const GraphFile& gf) {
-  struct H {
-    PathOuterplanarityInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, gf.order}}));
-}
-
-BoundInstance bind_op(const GraphFile& gf) {
-  struct H {
-    OuterplanarityInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, std::nullopt}}));
-}
-
-BoundInstance bind_pe(const GraphFile& gf) {
-  LRDIP_CHECK_MSG(gf.rotation.has_value(), "embedding needs a 'rotation' section");
-  struct H {
-    PlanarEmbeddingInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, &*gf.rotation}}));
-}
-
-BoundInstance bind_pl(const GraphFile& gf) {
-  struct H {
-    PlanarityInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, gf.rotation ? &*gf.rotation : nullptr}}));
-}
-
-BoundInstance bind_sp(const GraphFile& gf) {
-  struct H {
-    SeriesParallelInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, std::nullopt}}));
-}
-
-BoundInstance bind_tw(const GraphFile& gf) {
-  struct H {
-    Treewidth2Instance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, std::nullopt}}));
-}
-
-BoundInstance bind_ls(const GraphFile& gf) {
-  LRDIP_CHECK_MSG(gf.order.has_value(), "log-star-planarity needs an 'order' section");
-  LRDIP_CHECK_MSG(gf.tails.has_value(), "log-star-planarity needs a 'tails' section");
-  struct H {
-    LogStarPlanarityInstance inst;
-  };
-  return hold(std::make_shared<H>(H{{&gf.graph, *gf.order, *gf.tails, {}}}));
-}
-
-// Yes-instance generators. Families, parameters, and per-size rng usage match
-// the seed-pinned E-PROOFSIZE sweep exactly — the committed communication
-// budgets in bench/budgets/ are derived from these.
-
-BoundInstance yes_lr(int n, Rng& rng) {
-  struct H {
-    LrInstance gen;
-    LrSortingInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_lr_yes(n, 1.0, rng);
-  h->inst = {&h->gen.graph, h->gen.order, lr_claimed_tails(h->gen),
-             accountable_endpoints(h->gen.graph)};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_po(int n, Rng& rng) {
-  struct H {
-    PathOuterplanarInstance gen;
-    PathOuterplanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_path_outerplanar(n, 1.0, rng);
-  h->inst = {&h->gen.graph, h->gen.order};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_op(int n, Rng& rng) {
-  struct H {
-    OuterplanarCertInstance gen;
-    OuterplanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_outerplanar_with_cert(n, std::max(1, n / 64), rng);
-  h->inst = {&h->gen.graph, h->gen.block_cycles};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_pe(int n, Rng& rng) {
-  struct H {
-    PlanarInstance gen;
-    PlanarEmbeddingInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_planar(n, 0.3, rng);
-  h->inst = {&h->gen.graph, &h->gen.rotation};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_pl(int n, Rng& rng) {
-  struct H {
-    PlanarInstance gen;
-    PlanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_planar(n, 0.3, rng);
-  h->inst = {&h->gen.graph, &h->gen.rotation};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_sp(int n, Rng& rng) {
-  struct H {
-    SpInstance gen;
-    SeriesParallelInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_series_parallel(n, rng);
-  h->inst = {&h->gen.graph, h->gen.ears};
-  return hold(std::move(h));
-}
-
-BoundInstance yes_tw(int n, Rng& rng) {
-  struct H {
-    Tw2CertInstance gen;
-    Treewidth2Instance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_treewidth2_with_cert(n, std::max(1, n / 64), rng);
-  h->inst = {&h->gen.graph, h->gen.block_ears};
-  return hold(std::move(h));
 }
 
 // The log-star task runs on the same LR family (same generators, same
 // certificate payload), so its budgets and soundness rows are directly
 // comparable with lr-sorting's on identical seed-pinned instances — the
-// separation experiment's whole point.
+// separation experiment's whole point. Both rows share these adapters.
 
-BoundInstance yes_ls(int n, Rng& rng) {
-  struct H {
-    LrInstance gen;
-    LogStarPlanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_lr_yes(n, 1.0, rng);
-  h->inst = {&h->gen.graph, h->gen.order, lr_claimed_tails(h->gen),
-             accountable_endpoints(h->gen.graph)};
-  return hold(std::move(h));
+template <typename Inst>
+BoundInstance bind_lr(const GraphFile& gf) {
+  const char* name = task_name(task_of<Inst>);
+  LRDIP_CHECK_MSG(gf.order.has_value(), std::string(name) + " needs an 'order' section");
+  LRDIP_CHECK_MSG(gf.tails.has_value(), std::string(name) + " needs a 'tails' section");
+  return own(Inst{&gf.graph, *gf.order, *gf.tails, {}});
 }
 
+template <typename Inst>
+BoundInstance own_lr(LrInstance gen, std::vector<EdgeId> witness = {}) {
+  return own(
+      std::move(gen),
+      [](const LrInstance& g) {
+        return Inst{&g.graph, g.order, lr_claimed_tails(g), accountable_endpoints(g.graph)};
+      },
+      std::move(witness));
+}
+
+// Yes-instance generators. Families, parameters, and per-size rng usage match
+// the seed-pinned E-PROOFSIZE sweep exactly — the committed communication
+// budgets in bench/budgets/ are derived from these.
+//
 // Near-yes no-instance generators: the minimally perturbed member outside
 // each class, with the best-effort certificate a cheating prover would ship.
 // random_lr_no replays random_lr_yes's draws before flipping, so
@@ -258,49 +95,83 @@ BoundInstance yes_ls(int n, Rng& rng) {
 // families perturb structurally (completed K4 over a swapped order, one bad
 // block, a forged rotation, a planted subdivision, one chord).
 
+template <typename Inst>
+BoundInstance yes_lr(int n, Rng& rng) {
+  return own_lr<Inst>(random_lr_yes(n, 1.0, rng));
+}
+
 BoundInstance near_no_lr(int n, Rng& rng) {
-  struct H {
-    LrInstance gen;
-    LrSortingInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_lr_no(n, 1.0, /*flips=*/1, rng);
-  h->inst = {&h->gen.graph, h->gen.order, lr_claimed_tails(h->gen),
-             accountable_endpoints(h->gen.graph)};
-  return hold(std::move(h));
+  return own_lr<LrSortingInstance>(random_lr_no(n, 1.0, /*flips=*/1, rng));
+}
+
+BoundInstance near_no_ls(int n, Rng& rng) {
+  // The flipped arcs ARE the obstruction — lr_flipped_edges reads them off
+  // `forward` with no centralized search, so the greedy prover gets its
+  // focus_edges for free on every estimator run.
+  LrInstance gen = random_lr_no(n, 1.0, /*flips=*/1, rng);
+  std::vector<EdgeId> witness = lr_flipped_edges(gen);
+  return own_lr<LogStarPlanarityInstance>(std::move(gen), std::move(witness));
+}
+
+BoundInstance bind_po(const GraphFile& gf) {
+  return own(PathOuterplanarityInstance{&gf.graph, gf.order});
+}
+
+BoundInstance bind_pe(const GraphFile& gf) {
+  LRDIP_CHECK_MSG(gf.rotation.has_value(), "embedding needs a 'rotation' section");
+  return own(PlanarEmbeddingInstance{&gf.graph, &*gf.rotation});
+}
+
+BoundInstance bind_pl(const GraphFile& gf) {
+  return own(PlanarityInstance{&gf.graph, gf.rotation ? &*gf.rotation : nullptr});
+}
+
+/// Outerplanar, series-parallel and treewidth-2 files carry no certificate.
+template <typename Inst>
+BoundInstance bind_graph(const GraphFile& gf) {
+  return own(Inst{&gf.graph, std::nullopt});
+}
+
+// How each row's typed instance borrows from its generator's output.
+constexpr auto po_of = [](const PathOuterplanarInstance& g) {
+  return PathOuterplanarityInstance{&g.graph, g.order};
+};
+constexpr auto op_of = [](const OuterplanarCertInstance& g) {
+  return OuterplanarityInstance{&g.graph, g.block_cycles};
+};
+constexpr auto pe_of = [](const PlanarInstance& g) {
+  return PlanarEmbeddingInstance{&g.graph, &g.rotation};
+};
+constexpr auto sp_of = [](const SpInstance& g) { return SeriesParallelInstance{&g.graph, g.ears}; };
+
+BoundInstance yes_po(int n, Rng& rng) {
+  return own(random_path_outerplanar(n, 1.0, rng), po_of);
 }
 
 BoundInstance near_no_po(int n, Rng& rng) {
-  struct H {
-    PathOuterplanarInstance gen;
-    PathOuterplanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = path_outerplanar_order_swap_no(n, 1.0, rng);
-  h->inst = {&h->gen.graph, h->gen.order};
-  return hold(std::move(h));
+  return own(path_outerplanar_order_swap_no(n, 1.0, rng), po_of);
+}
+
+BoundInstance yes_op(int n, Rng& rng) {
+  return own(random_outerplanar_with_cert(n, std::max(1, n / 64), rng), op_of);
 }
 
 BoundInstance near_no_op(int n, Rng& rng) {
-  struct H {
-    OuterplanarCertInstance gen;
-    OuterplanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = outerplanar_no_instance(n, std::max(1, n / 64), rng);
-  h->inst = {&h->gen.graph, h->gen.block_cycles};
-  return hold(std::move(h));
+  return own(outerplanar_no_instance(n, std::max(1, n / 64), rng), op_of);
+}
+
+BoundInstance yes_pe(int n, Rng& rng) {
+  return own(random_planar(n, 0.3, rng), pe_of);
 }
 
 BoundInstance near_no_pe(int n, Rng& rng) {
-  struct H {
-    PlanarInstance gen;
-    PlanarEmbeddingInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = forged_rotation_no(n, 0.3, rng);
-  h->inst = {&h->gen.graph, &h->gen.rotation};
-  return hold(std::move(h));
+  return own(forged_rotation_no(n, 0.3, rng), pe_of);
+}
+
+BoundInstance yes_pl(int n, Rng& rng) {
+  return own(random_planar(n, 0.3, rng), [](const PlanarInstance& g) {
+    return PlanarityInstance{&g.graph, &g.rotation};
+  });
 }
 
 BoundInstance near_no_pl(int n, Rng& rng) {
@@ -311,18 +182,18 @@ BoundInstance near_no_pl(int n, Rng& rng) {
   // certificate == nullptr the stage would run the centralized embedder on a
   // NON-planar graph every execution, which the soundness sweeps cannot
   // afford.
-  struct H {
-    Graph gen;
-    RotationSystem rot;
-    PlanarityInstance inst;
-
-    H(Graph g, RotationSystem r) : gen(std::move(g)), rot(std::move(r)) {}
-  };
   PlantedWitnessInstance planted = planted_kuratowski_no(n, /*subdiv=*/2, rng);
   RotationSystem rot = RotationSystem::from_adjacency(planted.graph);
-  auto h = std::make_shared<H>(std::move(planted.graph), std::move(rot));
-  h->inst = {&h->gen, &h->rot};
-  return hold_with_witness(std::move(h), std::move(planted.witness));
+  return own(
+      std::pair{std::move(planted.graph), std::move(rot)},
+      [](const std::pair<Graph, RotationSystem>& g) {
+        return PlanarityInstance{&g.first, &g.second};
+      },
+      std::move(planted.witness));
+}
+
+BoundInstance yes_sp(int n, Rng& rng) {
+  return own(random_series_parallel(n, rng), sp_of);
 }
 
 BoundInstance near_no_sp(int n, Rng& rng) {
@@ -331,73 +202,56 @@ BoundInstance near_no_sp(int n, Rng& rng) {
   // out as a dangling ear the verifier rejects — instead of re-running the
   // centralized per-skipped-edge search on every execution, which would
   // dominate the estimator's runtime.
-  struct H {
-    SpInstance gen;
-    SeriesParallelInstance inst;
+  SpInstance gen = random_series_parallel(n, rng);
+  LRDIP_CHECK(gen.k4_chord.has_value());
+  const auto [a, c] = *gen.k4_chord;
+  if (gen.graph.find_edge(a, c) == -1) gen.graph.add_edge(a, c);
+  return own(std::move(gen), sp_of);
+}
 
-    explicit H(SpInstance g) : gen(std::move(g)) {}
-  };
-  auto h = std::make_shared<H>(random_series_parallel(n, rng));
-  LRDIP_CHECK(h->gen.k4_chord.has_value());
-  const auto [a, c] = *h->gen.k4_chord;
-  if (h->gen.graph.find_edge(a, c) == -1) h->gen.graph.add_edge(a, c);
-  h->inst = {&h->gen.graph, h->gen.ears};
-  return hold(std::move(h));
+BoundInstance yes_tw(int n, Rng& rng) {
+  return own(random_treewidth2_with_cert(n, std::max(1, n / 64), rng),
+             [](const Tw2CertInstance& g) { return Treewidth2Instance{&g.graph, g.block_ears}; });
 }
 
 BoundInstance near_no_tw(int n, Rng& rng) {
-  struct H {
-    Graph gen;
-    Treewidth2Instance inst;
-
-    explicit H(Graph g) : gen(std::move(g)) {}
-  };
-  auto h = std::make_shared<H>(treewidth2_no_instance(n, std::max(1, n / 64), rng));
-  h->inst = {&h->gen, std::nullopt};
-  return hold(std::move(h));
-}
-
-BoundInstance near_no_ls(int n, Rng& rng) {
-  // random_lr_no replays random_lr_yes's draws before flipping (same-seed
-  // pairing for the ReplayProver), and the flipped arcs ARE the obstruction —
-  // lr_flipped_edges reads them off `forward` with no centralized search (the
-  // PR 5 witness-caching note), so the greedy prover gets its focus_edges for
-  // free on every estimator run.
-  struct H {
-    LrInstance gen;
-    LogStarPlanarityInstance inst;
-  };
-  auto h = std::make_shared<H>();
-  h->gen = random_lr_no(n, 1.0, /*flips=*/1, rng);
-  h->inst = {&h->gen.graph, h->gen.order, lr_claimed_tails(h->gen),
-             accountable_endpoints(h->gen.graph)};
-  std::vector<EdgeId> witness = lr_flipped_edges(h->gen);
-  return hold_with_witness(std::move(h), std::move(witness));
+  return own(treewidth2_no_instance(n, std::max(1, n / 64), rng),
+             [](const Graph& g) { return Treewidth2Instance{&g, std::nullopt}; });
 }
 
 // ---------------------------------------------------------------- the table
 
 constexpr std::array<ProtocolSpec, kNumTasks> kRegistry{{
     {Task::lr_sorting, "lr-sorting", "Lem 4.2", kCertOrder | kCertTails, kCertOrder | kCertTails,
-     run_lr, bits_lr, bind_lr, yes_lr, near_no_lr},
-    {Task::path_outerplanar, "path-outerplanar", "Thm 1.2", 0, kCertOrder, run_po, bits_po,
-     bind_po, yes_po, near_no_po},
-    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0, run_op, bits_op, bind_op, yes_op,
-     near_no_op},
-    {Task::embedding, "embedding", "Thm 1.4", kCertRotation, kCertRotation, run_pe, bits_pe,
-     bind_pe, yes_pe, near_no_pe},
-    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation, run_pl, bits_pl, bind_pl, yes_pl,
-     near_no_pl},
-    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0, run_sp, bits_sp, bind_sp, yes_sp,
-     near_no_sp},
-    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0, run_tw, bits_tw, bind_tw, yes_tw,
+     run_row<LrSortingInstance, lr_honest_stage>, 1, bind_lr<LrSortingInstance>,
+     yes_lr<LrSortingInstance>, near_no_lr},
+    {Task::path_outerplanar, "path-outerplanar", "Thm 1.2", 0, kCertOrder,
+     run_row<PathOuterplanarityInstance, path_outerplanarity_stage>, 3, bind_po, yes_po,
+     near_no_po},
+    {Task::outerplanar, "outerplanar", "Thm 1.3", 0, 0,
+     run_row<OuterplanarityInstance, outerplanarity_stage>, 4,
+     bind_graph<OuterplanarityInstance>, yes_op, near_no_op},
+    {Task::embedding, "embedding", "Thm 1.4", kCertRotation, kCertRotation,
+     run_row<PlanarEmbeddingInstance, planar_embedding_stage>, 3, bind_pe, yes_pe, near_no_pe},
+    {Task::planarity, "planarity", "Thm 1.5", 0, kCertRotation,
+     run_row<PlanarityInstance, planarity_stage>, 6, bind_pl, yes_pl, near_no_pl},
+    {Task::series_parallel, "series-parallel", "Thm 1.6", 0, 0,
+     run_row<SeriesParallelInstance, series_parallel_stage>, 4,
+     bind_graph<SeriesParallelInstance>, yes_sp, near_no_sp},
+    {Task::treewidth2, "treewidth2", "Thm 1.7", 0, 0,
+     run_row<Treewidth2Instance, treewidth2_stage>, 4, bind_graph<Treewidth2Instance>, yes_tw,
      near_no_tw},
     {Task::log_star_planarity, "log-star-planarity", "GP25b Thm 1.1",
-     kCertOrder | kCertTails, kCertOrder | kCertTails, run_ls, bits_ls, bind_ls, yes_ls,
-     near_no_ls},
+     kCertOrder | kCertTails, kCertOrder | kCertTails,
+     run_row<LogStarPlanarityInstance, log_star_planarity_stage>, 1,
+     bind_lr<LogStarPlanarityInstance>, yes_lr<LogStarPlanarityInstance>, near_no_ls},
 }};
 
 }  // namespace
+
+int ProtocolSpec::pls_bits(int n) const {
+  return pls_log_factor * ceil_log2(static_cast<std::uint64_t>(n));
+}
 
 const Graph& Instance::graph() const {
   return std::visit([](const auto* inst) -> const Graph& { return *inst->graph; }, ref);

@@ -124,10 +124,9 @@ struct ProtocolSpec {
   unsigned uses_certs;
   /// The 5-round interactive protocol (RunScope + stage + finalize).
   Outcome (*run)(const Instance&, const RunOptions&, Rng&, FaultInjector*);
-  /// Label width of the one-round Theta(log n) PLS baseline at size n (the
-  /// E-SEP and E-x.y comparison column). The baseline is a width, not an
-  /// executable scheme.
-  int (*pls_bits)(int n);
+  /// The one-round Theta(log n) PLS baseline's label width, in units of
+  /// ceil(log2 n): the textbook scheme ships that many O(log n) fields.
+  int pls_log_factor;
   /// Instance adapter over a parsed GraphFile (borrows the file; throws
   /// InvariantError when a required section is missing).
   BoundInstance (*bind_file)(const GraphFile&);
@@ -144,6 +143,10 @@ struct ProtocolSpec {
   /// exploits. The honest run must reject these (soundness experiments and
   /// test_soundness assert it at pinned seeds).
   BoundInstance (*make_near_no)(int n, Rng&);
+
+  /// Label width of the PLS baseline at size n (the E-SEP and E-x.y
+  /// comparison column). The baseline is a width, not an executable scheme.
+  int pls_bits(int n) const;
 };
 
 /// The full table, in Task order.

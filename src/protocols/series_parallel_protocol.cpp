@@ -66,11 +66,9 @@ std::optional<EarDecomposition> committed_ears(const Graph& g,
 }
 
 StageResult reject_all(const Graph& g, int bits_estimate) {
-  StageResult s;
-  s.node_accepts.assign(g.n(), 0);
+  StageResult s = empty_stage(g.n());
   s.node_reasons.assign(g.n(), RejectReason::check_failed);
   s.node_bits.assign(g.n(), bits_estimate);
-  s.coin_bits.assign(g.n(), 0);
   s.rounds = kSeriesParallelRounds;
   return s;
 }
@@ -110,11 +108,9 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst, const RunO
 
   // ---- Stage (i): every sub-ear is a simple path; chains verified by
   // Lemma 2.5 runs on the induced pieces. Forest codes + flags.
-  StageResult result;
-  result.node_accepts.assign(n, 1);
+  StageResult result = empty_stage(n);
   // forest code (7) + P1 flag (1) + connecting marks (2) + fragments below.
   result.node_bits.assign(n, 7 + 1 + 2);
-  result.coin_bits.assign(n, 0);
   result.rounds = 1;
   for (int j = 0; j < k; ++j) {
     if (subear[j].empty()) continue;
@@ -146,7 +142,7 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst, const RunO
       const NodeId host = sub.node_to_orig[w];
       result.node_bits[host] += st.node_bits[w];
       result.coin_bits[host] += st.coin_bits[w];
-      if (!st.node_accepts[w]) result.reject(host, st.reason(w));
+      result.reject(host, st.reason(w));
     }
   }
 
@@ -219,7 +215,7 @@ StageResult series_parallel_stage(const SeriesParallelInstance& inst, const RunO
       }
       result.node_bits[host_node] += sr.node_bits[w];
       result.coin_bits[host_node] += sr.coin_bits[w];
-      if (!sr.node_accepts[w]) result.reject(path[w], sr.reason(w));
+      result.reject(path[w], sr.reason(w));
     }
     // Arc labels relayed through the attached ears' interiors.
     for (const auto& relay : relays) {
@@ -243,10 +239,8 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const RunOptions& o
   // plus d(C) mod 3 labels.
   const RootedForest tree = bfs_tree(g, 0);
   const ForestEncoding enc = encode_forest(g, tree.parent);
-  StageResult result;
-  result.node_accepts.assign(n, 1);
+  StageResult result = empty_stage(n);
   result.node_bits.assign(n, enc.bits_per_node() + 4);
-  result.coin_bits.assign(n, 0);
   result.rounds = 1;
   result = compose_parallel(result, verify_spanning_tree(g, tree.parent,
                                                          po_repetitions(n, opt.c), rng, faults));
@@ -279,7 +273,7 @@ StageResult treewidth2_stage(const Treewidth2Instance& inst, const RunOptions& o
       const NodeId host = sub.node_to_orig[w];
       result.node_bits[host] += sr.node_bits[w];
       result.coin_bits[host] += sr.coin_bits[w];
-      if (!sr.node_accepts[w]) result.reject(host, sr.reason(w));
+      result.reject(host, sr.reason(w));
     }
   }
   result.rounds = std::max(result.rounds, kSeriesParallelRounds);

@@ -139,7 +139,6 @@ StageResult verify_spanning_tree(const Graph& g, const std::vector<NodeId>& clai
         verdict.reject(st_labeled_node_verdict(view, claimed_parent[v], children[v], k));
         return true;  // failures recorded in the verdict
       });
-  out.node_accepts = accepts_from_reasons(out.node_reasons);
   return out;
 }
 

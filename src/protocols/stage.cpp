@@ -10,7 +10,7 @@ namespace lrdip {
 
 StageResult empty_stage(int n) {
   StageResult s;
-  s.node_accepts.assign(n, 1);
+  s.node_reasons.assign(n, RejectReason::none);
   s.node_bits.assign(n, 0);
   s.coin_bits.assign(n, 0);
   s.rounds = 0;
@@ -18,22 +18,16 @@ StageResult empty_stage(int n) {
 }
 
 StageResult compose_parallel(const StageResult& a, const StageResult& b) {
-  LRDIP_CHECK(a.node_accepts.size() == b.node_accepts.size());
+  LRDIP_CHECK(a.node_reasons.size() == b.node_reasons.size());
   StageResult out;
-  const std::size_t n = a.node_accepts.size();
-  out.node_accepts.resize(n);
+  const std::size_t n = a.node_reasons.size();
+  out.node_reasons.resize(n);
   out.node_bits.resize(n);
   out.coin_bits.resize(n);
-  const bool reasons = !a.node_reasons.empty() || !b.node_reasons.empty();
-  if (reasons) out.node_reasons.assign(n, RejectReason::none);
   for (std::size_t v = 0; v < n; ++v) {
-    out.node_accepts[v] = a.node_accepts[v] && b.node_accepts[v];
+    out.node_reasons[v] = worse_reason(a.node_reasons[v], b.node_reasons[v]);
     out.node_bits[v] = a.node_bits[v] + b.node_bits[v];
     out.coin_bits[v] = a.coin_bits[v] + b.coin_bits[v];
-    if (reasons) {
-      out.node_reasons[v] =
-          worse_reason(a.reason(static_cast<NodeId>(v)), b.reason(static_cast<NodeId>(v)));
-    }
   }
   out.rounds = std::max(a.rounds, b.rounds);
   return out;
@@ -51,10 +45,10 @@ Outcome finalize(const StageResult& s) {
   // nodes; ties go to the more structural (higher-severity) defect.
   std::int64_t hist[5] = {0, 0, 0, 0, 0};
   if (!o.accepted) {
-    for (std::size_t v = 0; v < s.node_accepts.size(); ++v) {
-      if (s.node_accepts[v]) continue;
+    for (RejectReason r : s.node_reasons) {
+      if (r == RejectReason::none) continue;
       ++o.rejected_nodes;
-      ++hist[static_cast<int>(s.reason(static_cast<NodeId>(v)))];
+      ++hist[static_cast<int>(r)];
     }
     int best = static_cast<int>(RejectReason::check_failed);
     for (int r = best + 1; r < 5; ++r) {
@@ -74,32 +68,13 @@ Outcome finalize(const StageResult& s) {
 }
 
 StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
-                              std::vector<char> accepts, int rounds) {
-  StageResult s;
-  s.node_accepts = std::move(accepts);
-  s.node_bits = labels.charged_bits();
-  s.coin_bits = coins.coin_bits();
-  s.rounds = rounds;
-  return s;
-}
-
-StageResult stage_from_stores(const LabelStore& labels, const CoinStore& coins,
                               std::vector<RejectReason> reasons, int rounds) {
   StageResult s;
-  s.node_accepts = accepts_from_reasons(reasons);
   s.node_reasons = std::move(reasons);
   s.node_bits = labels.charged_bits();
   s.coin_bits = coins.coin_bits();
   s.rounds = rounds;
   return s;
-}
-
-std::vector<char> accepts_from_reasons(const std::vector<RejectReason>& reasons) {
-  std::vector<char> accepts(reasons.size(), 1);
-  for (std::size_t v = 0; v < reasons.size(); ++v) {
-    if (reasons[v] != RejectReason::none) accepts[v] = 0;
-  }
-  return accepts;
 }
 
 std::vector<std::int64_t> degree_cost_prefix(const Graph& g) {

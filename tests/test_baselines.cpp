@@ -16,9 +16,9 @@ namespace {
 TEST(PathOuterplanarityPls, LabelsAreThetaLogN) {
   // The baseline is a label width (the registry's pls_bits): all its fields
   // are positions, so doubling log n doubles it.
-  const auto pls_bits = protocol_spec(Task::path_outerplanar).pls_bits;
-  EXPECT_EQ(pls_bits(1 << 8), 3 * 8);
-  EXPECT_EQ(pls_bits(1 << 16), 3 * 16);
+  const ProtocolSpec& spec = protocol_spec(Task::path_outerplanar);
+  EXPECT_EQ(spec.pls_bits(1 << 8), 3 * 8);
+  EXPECT_EQ(spec.pls_bits(1 << 16), 3 * 16);
 }
 
 // Theorem 6.1 through the outerplanarity protocol: a biconnected graph is one

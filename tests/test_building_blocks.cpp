@@ -227,11 +227,15 @@ TEST(Stage, ComposeParallelSumsBitsAndMaxesRounds) {
   StageResult b = empty_stage(3);
   b.node_bits = {10, 10, 10};
   b.rounds = 5;
-  b.node_accepts[1] = 0;
+  a.reject(1, RejectReason::none);  // lifting an accepting verdict is a no-op
+  EXPECT_TRUE(a.all_accept());
+  b.reject(1);
   const StageResult c = compose_parallel(a, b);
   EXPECT_EQ(c.node_bits[2], 13);
   EXPECT_EQ(c.rounds, 5);
   EXPECT_FALSE(c.all_accept());
+  EXPECT_EQ(c.reason(0), RejectReason::none);
+  EXPECT_EQ(c.reason(1), RejectReason::check_failed);
   const Outcome o = finalize(c);
   EXPECT_EQ(o.proof_size_bits, 13);
   EXPECT_FALSE(o.accepted);

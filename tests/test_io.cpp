@@ -180,6 +180,27 @@ TEST(GraphIoChecked, RotationDefectsClassify) {
   EXPECT_NE(r.error.find("rotation"), std::string::npos) << r.error;
 }
 
+TEST(GraphIoChecked, OrderMustBeAPermutation) {
+  // A repeated node used to pass the parser and crash the log-star prover.
+  const GraphReadResult r = checked("graph 3 2\ne 0 1\ne 1 2\norder 0 1 1\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.line, 4);
+  EXPECT_NE(r.error.find("exactly once"), std::string::npos) << r.error;
+  EXPECT_TRUE(checked("graph 3 2\ne 0 1\ne 1 2\norder 2 0 1\n").ok());
+}
+
+TEST(GraphIoChecked, TailsMustBeEdgeEndpoints) {
+  // Node 1 is in range but not an endpoint of edge 1 = {0, 2}; this used to
+  // pass the parser and crash the LR-family provers. The check runs after
+  // every edge is read, so it also covers edges listed after the tails line.
+  const GraphReadResult r = checked("graph 3 2\ne 0 1\ne 0 2\ntails 0 1\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.line, 4);
+  EXPECT_NE(r.error.find("not an endpoint of edge 1"), std::string::npos) << r.error;
+  EXPECT_FALSE(checked("graph 3 2\ntails 0 1\ne 0 1\ne 0 2\n").ok());
+  EXPECT_TRUE(checked("graph 3 2\ntails 0 2\ne 0 1\ne 0 2\n").ok());
+}
+
 TEST(GraphIoChecked, NeverThrowsOnGarbage) {
   // A sweep of adversarial shapes: the checked reader's contract is that no
   // input reaches a throw path.

@@ -76,7 +76,7 @@ TEST(LogStarPlanarity, ProofSizeBeatsLrSortingOnTheSameInstance) {
   Rng gen(11);
   const LrInstance gi = random_lr_yes(1 << 12, 1.0, gen);
   const LogStarPlanarityInstance ls{&gi.graph, gi.order, lr_claimed_tails(gi), {}};
-  const LrSortingInstance lr = as_lr_sorting(ls);
+  const LrSortingInstance& lr = ls;
   Rng r1(13), r2(13);
   const Outcome a = run_protocol(make_instance(ls), {3}, r1);
   const Outcome b = run_protocol(make_instance(lr), {3}, r2);

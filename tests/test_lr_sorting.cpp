@@ -131,9 +131,9 @@ TEST(LrSorting, ProofSizeGrowsDoublyLogarithmically) {
   EXPECT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 1.7);
   // ... while the baseline doubles exactly.
-  const auto pls_bits = protocol_spec(Task::lr_sorting).pls_bits;
-  EXPECT_EQ(pls_bits(1 << 10), 10);
-  EXPECT_EQ(pls_bits(1 << 20), 20);
+  const ProtocolSpec& spec = protocol_spec(Task::lr_sorting);
+  EXPECT_EQ(spec.pls_bits(1 << 10), 10);
+  EXPECT_EQ(spec.pls_bits(1 << 20), 20);
 }
 
 // The one-round position-labeling stage (the short-path fallback) decides

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "graph/io.hpp"
+#include "obs/metrics.hpp"
 #include "protocols/registry.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -162,6 +163,26 @@ TEST(Registry, BindRejectsParallelEdges) {
   gf.rotation = RotationSystem::from_adjacency(gf.graph);
   for (const ProtocolSpec& spec : protocol_registry()) {
     EXPECT_THROW(bind_instance(spec.task, gf), InvariantError) << spec.name;
+  }
+}
+
+// The metrics record of a run carries the row's canonical name: one
+// execution, one RunMetrics, task == spec.name (the name the budgets, the
+// service stats and the bench tables key on).
+TEST(Registry, RunRecordIsNamedAfterTheRow) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  for (const ProtocolSpec& spec : protocol_registry()) {
+    Rng gen(5);
+    const BoundInstance bi = make_yes_instance(spec.task, 64, gen);
+    Rng rng(7);
+    metrics.reset();
+    metrics.set_enabled(true);
+    const Outcome o = run_protocol(bi.view(), RunOptions{}, rng);
+    metrics.set_enabled(false);
+    EXPECT_TRUE(o.accepted) << spec.name;
+    const std::vector<obs::RunMetrics> runs = metrics.take_completed();
+    ASSERT_EQ(runs.size(), 1u) << spec.name;
+    EXPECT_EQ(runs[0].task, spec.name);
   }
 }
 

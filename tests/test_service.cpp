@@ -182,6 +182,19 @@ TEST(Service, TypedErrorsForEveryBadRequestShape) {
   EXPECT_EQ(resp.status, ServiceStatus::bad_request);
   EXPECT_NE(resp.text.find("simple graph"), std::string::npos) << resp.text;
 
+  // Certificate defects -> bad_request from the parser, not internal_error
+  // from the prover: an order repeating a node, a tail off its edge.
+  req = verify_request(11, Task::log_star_planarity, 0, BodyKind::inline_graph);
+  req.graph_text = "graph 3 2\ne 0 1\ne 1 2\norder 0 1 1\ntails 0 1\n";
+  ASSERT_TRUE(client.call_once(req, &resp));
+  EXPECT_EQ(resp.status, ServiceStatus::bad_request);
+  EXPECT_NE(resp.text.find("exactly once"), std::string::npos) << resp.text;
+  req = verify_request(12, Task::lr_sorting, 0, BodyKind::inline_graph);
+  req.graph_text = "graph 3 2\ne 0 1\ne 0 2\norder 1 0 2\ntails 0 1\n";
+  ASSERT_TRUE(client.call_once(req, &resp));
+  EXPECT_EQ(resp.status, ServiceStatus::bad_request);
+  EXPECT_NE(resp.text.find("not an endpoint"), std::string::npos) << resp.text;
+
   // sleep_ms without test hooks -> bad_request.
   req.type = MsgType::sleep_ms;
   req.request_id = 10;
