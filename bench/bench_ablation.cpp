@@ -22,11 +22,11 @@ int main() {
   Table t({"c", "field_bits_scale", "dip_bits", "cheat_wins", "win_rate"});
   for (int c = 1; c <= 5; ++c) {
     const LrInstance yes = random_lr_yes(n, 1.0, rng);
-    const Outcome o = run_protocol(make_instance(to_protocol_instance(yes)), {c}, rng);
+    const Outcome o = run_protocol(make_instance(lr_sorting_instance(yes)), {c}, rng);
     int wins = 0;
     for (int s = 0; s < trials; ++s) {
       const LrInstance no = random_lr_no(n, 1.0, 1, rng);
-      wins += run_protocol(make_instance(to_protocol_instance(no)), {c}, rng).accepted;
+      wins += run_protocol(make_instance(lr_sorting_instance(no)), {c}, rng).accepted;
     }
     t.add_row({Table::num(c), Table::num(c) + " * log log n", Table::num(o.proof_size_bits),
                Table::num(wins), Table::num(double(wins) / trials, 4)});
@@ -47,10 +47,10 @@ int main() {
     int wins = 0;
     for (int s = 0; s < local_trials; ++s) {
       const LrInstance no = random_lr_no(nn, 1.0, 1, rng);
-      wins += run_protocol(make_instance(to_protocol_instance(no)), {2}, rng).accepted;
+      wins += run_protocol(make_instance(lr_sorting_instance(no)), {2}, rng).accepted;
     }
     const LrInstance yes = random_lr_yes(nn, 1.0, rng);
-    const Outcome o = run_protocol(make_instance(to_protocol_instance(yes)), {2}, rng);
+    const Outcome o = run_protocol(make_instance(lr_sorting_instance(yes)), {2}, rng);
     t2.add_row({Table::num(std::uint64_t(nn)), Table::num(o.proof_size_bits),
                 Table::num(wins) + "/" + Table::num(local_trials),
                 Table::num(double(wins) / local_trials, 4)});

@@ -11,7 +11,10 @@
 // by least squares per task. The dual fit plus the printed separation table
 // (lr-sorting vs log-star-planarity on identical seed-pinned instances) is
 // experiment E-LOGSTAR; the sweep exits nonzero if the log-star task fails
-// to sit strictly below lr-sorting at any n >= 2^12. The library's Rng is
+// to sit strictly below lr-sorting at any n >= 2^12. Each point also prints
+// the registry's one-round PLS width (pls_bits) and the ratio to it, and the
+// largest n of every task forms the E-SEP table (the paper's interaction
+// separation, Figure 2's full reduction stack). The library's Rng is
 // deterministic, so every number here is bit-for-bit reproducible across
 // machines — which is what lets CI hold measured sizes to the exact budgets
 // in bench/budgets/.
@@ -99,8 +102,6 @@ Fit fit_linear(const std::vector<Point>& pts, double (*xf)(const Point&)) {
   return f;
 }
 
-std::string json_escape_free(const std::string& s) { return s; }  // names are [a-z-] only
-
 void write_point_json(std::ostream& os, const Point& p, const char* pad) {
   os << pad << "{\"log_n\": " << p.log_n << ", \"n\": " << p.n << ", \"m\": " << p.m
      << ", \"proof_size_bits\": " << p.proof_size_bits
@@ -120,7 +121,7 @@ void write_results_json(const std::string& path, const std::vector<TaskSweep>& s
      << "  \"tasks\": {\n";
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     const TaskSweep& s = sweeps[i];
-    os << "    \"" << json_escape_free(s.name) << "\": {\n      \"points\": [\n";
+    os << "    \"" << s.name << "\": {\n      \"points\": [\n";
     for (std::size_t j = 0; j < s.points.size(); ++j) {
       write_point_json(os, s.points[j], "        ");
       os << (j + 1 < s.points.size() ? ",\n" : "\n");
@@ -153,6 +154,10 @@ void write_budget_json(const std::string& dir, const TaskSweep& s) {
   os << "  ]\n}\n";
 }
 
+constexpr const char* kUsage =
+    "usage: bench_proof_size [--min-log-n K] [--max-log-n K] [--json out.json]"
+    " [--write-budgets dir]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,24 +167,27 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
-      LRDIP_CHECK_MSG(i + 1 < argc, "missing value for " + a);
-      return argv[++i];
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << kUsage;
+      std::exit(2);
     };
     if (a == "--min-log-n") {
-      min_log_n = std::stoi(next());
+      min_log_n = number_or_exit<int>(next(), kUsage);
     } else if (a == "--max-log-n") {
-      max_log_n = std::stoi(next());
+      max_log_n = number_or_exit<int>(next(), kUsage);
     } else if (a == "--json") {
       json_path = next();
     } else if (a == "--write-budgets") {
       budgets_dir = next();
     } else {
-      std::cerr << "usage: bench_proof_size [--min-log-n K] [--max-log-n K] [--json out.json]"
-                   " [--write-budgets dir]\n";
+      std::cerr << kUsage;
       return 2;
     }
   }
-  LRDIP_CHECK(min_log_n >= 4 && max_log_n <= 24 && min_log_n <= max_log_n);
+  if (min_log_n < 4 || max_log_n > 24 || min_log_n > max_log_n) {
+    std::cerr << kUsage;
+    return 2;
+  }
   const int c = 3;
 
   print_header("E-PROOFSIZE: proof size vs n (n = 2^" + std::to_string(min_log_n) + " .. 2^" +
@@ -195,8 +203,8 @@ int main(int argc, char** argv) {
   // run's record is drained right after it completes.
   obs::MetricsRegistry::instance().reset();
   obs::MetricsRegistry::instance().set_enabled(true);
-  Table t({"task", "log_n", "n", "m", "proof_bits", "wire_max_bits", "total_bits", "rounds",
-           "accepted"});
+  Table t({"task", "log_n", "n", "m", "proof_bits", "pls_bits", "ratio", "wire_max_bits",
+           "total_bits", "rounds", "accepted"});
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     TaskSweep sweep;
     sweep.name = tasks[ti].name;
@@ -220,8 +228,11 @@ int main(int argc, char** argv) {
         p.wire_total_bits = run.wire_total_bits();
       }
       sweep.points.push_back(p);
+      const int pls = tasks[ti].pls_bits(n);
       t.add_row({sweep.name, Table::num(k), Table::num(n), Table::num(p.m),
-                 Table::num(p.proof_size_bits), Table::num(p.wire_max_round_node_bits),
+                 Table::num(p.proof_size_bits), Table::num(pls),
+                 Table::num(double(pls) / p.proof_size_bits, 2),
+                 Table::num(p.wire_max_round_node_bits),
                  Table::num(static_cast<double>(p.total_label_bits), 0), Table::num(p.rounds),
                  p.accepted ? "yes" : "NO"});
     }
@@ -274,6 +285,20 @@ int main(int argc, char** argv) {
                         "n >= 2^12 in the sweep.\n"
                       : "\nSEPARATION VIOLATED at some n >= 2^12 (see table).\n");
   }
+
+  // E-SEP: every task at the sweep's largest n, interactive proof size vs the
+  // one-round Theta(log n) PLS width.
+  std::cout << "\n-- E-SEP: interaction separation at n = 2^" << max_log_n
+            << " (interactive proof vs 1-round PLS) --\n";
+  Table sep({"task", "theorem", "n", "rounds", "dip_bits", "pls_bits", "ratio"});
+  for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
+    const Point& p = sweeps[ti].points.back();
+    const int pls = tasks[ti].pls_bits(p.n);
+    sep.add_row({tasks[ti].name, tasks[ti].theorem, Table::num(p.n), Table::num(p.rounds),
+                 Table::num(p.proof_size_bits), Table::num(pls),
+                 Table::num(double(pls) / p.proof_size_bits, 2)});
+  }
+  sep.print(std::cout);
 
   if (!json_path.empty()) {
     write_results_json(json_path, sweeps, min_log_n, max_log_n);

@@ -35,11 +35,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench_util.hpp"
 #include "dip/runtime.hpp"
 #include "gen/shard_gen.hpp"
 #include "obs/metrics.hpp"
 
 using namespace lrdip;
+using lrdip::bench::number_or_exit;
 
 namespace {
 
@@ -176,6 +178,10 @@ Cell run_cell(const ShardParams& params, std::uint32_t shards, std::uint64_t coi
   return cell;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_scale [--log-n K] [--shards k1,k2,...] [--seed S] [--coin-seed S]"
+    " [--family path-outerplanar|grid] [--dir D] [--json out.json] [--keep]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -198,18 +204,18 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--log-n") {
-      log_n = std::stoi(next());
+      log_n = number_or_exit<int>(next(), kUsage);
     } else if (a == "--shards") {
       shard_counts.clear();
       std::stringstream ss(next());
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        shard_counts.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
+        shard_counts.push_back(number_or_exit<std::uint32_t>(tok, kUsage));
       }
     } else if (a == "--seed") {
-      params.seed = std::stoull(next());
+      params.seed = number_or_exit<std::uint64_t>(next(), kUsage);
     } else if (a == "--coin-seed") {
-      coin_seed = std::stoull(next());
+      coin_seed = number_or_exit<std::uint64_t>(next(), kUsage);
     } else if (a == "--family") {
       family = next();
     } else if (a == "--dir") {
@@ -219,7 +225,7 @@ int main(int argc, char** argv) {
     } else if (a == "--keep") {
       keep = true;
     } else {
-      std::cerr << "unknown option: " << a << "\n";
+      std::cerr << kUsage;
       return 2;
     }
   }

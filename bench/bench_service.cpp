@@ -25,6 +25,7 @@
 #include "obs/service_stats.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -47,6 +48,10 @@ struct Args {
   bool json = false;
 };
 
+constexpr const char* kUsage =
+    "usage: bench_service [--seconds S] [--clients N] [--workers N] [--n N]"
+    " [--deadline-ms N] [--p99-budget-ms N] [--json]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,7 +62,8 @@ int main(int argc, char** argv) {
     if (a == "--json") {
       args.json = true;
     } else if (has_val) {
-      const long long v = std::strtoll(argv[++i], nullptr, 10);
+      // Junk parses to -1, which no range below admits.
+      const long long v = parse_number<long long>(argv[++i]).value_or(-1);
       if (a == "--seconds" && v >= 1) {
         args.seconds = static_cast<double>(v);
       } else if (a == "--clients" && v >= 1) {
@@ -71,11 +77,11 @@ int main(int argc, char** argv) {
       } else if (a == "--p99-budget-ms" && v >= 0) {
         args.p99_budget_ms = static_cast<double>(v);
       } else {
-        std::fprintf(stderr, "unknown option: %s\n", a.c_str());
+        std::fputs(kUsage, stderr);
         return 2;
       }
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
+      std::fputs(kUsage, stderr);
       return 2;
     }
   }

@@ -97,6 +97,10 @@ void write_budget_json(const std::string& dir, const std::vector<Point>& points)
   os << "  ]\n}\n";
 }
 
+constexpr const char* kUsage =
+    "usage: bench_soundness [--min-log-n K] [--max-log-n K] [--trials T]"
+    " [--smoke] [--json out.json] [--write-budgets dir]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,15 +112,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
-      LRDIP_CHECK_MSG(i + 1 < argc, "missing value for " + a);
-      return argv[++i];
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << kUsage;
+      std::exit(2);
     };
     if (a == "--min-log-n") {
-      min_log_n = std::stoi(next());
+      min_log_n = number_or_exit<int>(next(), kUsage);
     } else if (a == "--max-log-n") {
-      max_log_n = std::stoi(next());
+      max_log_n = number_or_exit<int>(next(), kUsage);
     } else if (a == "--trials") {
-      trials = std::stoi(next());
+      trials = number_or_exit<int>(next(), kUsage);
     } else if (a == "--smoke") {
       smoke = true;
     } else if (a == "--json") {
@@ -124,13 +129,15 @@ int main(int argc, char** argv) {
     } else if (a == "--write-budgets") {
       budgets_dir = next();
     } else {
-      std::cerr << "usage: bench_soundness [--min-log-n K] [--max-log-n K] [--trials T]"
-                   " [--smoke] [--json out.json] [--write-budgets dir]\n";
+      std::cerr << kUsage;
       return 2;
     }
   }
   if (smoke) max_log_n = std::min(max_log_n, 9);
-  LRDIP_CHECK(min_log_n >= 6 && max_log_n <= 24 && min_log_n <= max_log_n && trials >= 1);
+  if (min_log_n < 6 || max_log_n > 24 || min_log_n > max_log_n || trials < 1) {
+    std::cerr << kUsage;
+    return 2;
+  }
 
   print_header("E-SOUNDNESS: cheating-prover acceptance vs n (n = 2^" +
                    std::to_string(min_log_n) + " .. 2^" + std::to_string(max_log_n) + ", " +

@@ -59,7 +59,7 @@ void BM_LrSorting(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng gen_rng(42);
   const LrInstance gi = random_lr_yes(n, 1.0, gen_rng);
-  const LrSortingInstance inst = to_protocol_instance(gi);
+  const LrSortingInstance inst = lr_sorting_instance(gi);
   Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_protocol(make_instance(inst), {3}, rng));
@@ -116,7 +116,7 @@ void BM_LrSortingThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   Rng gen_rng(42);
   const LrInstance gi = random_lr_yes(1 << 17, 1.0, gen_rng);
-  const LrSortingInstance inst = to_protocol_instance(gi);
+  const LrSortingInstance inst = lr_sorting_instance(gi);
   Rng rng(1);
   set_parallel_threads(threads);
   for (auto _ : state) {

@@ -5,11 +5,8 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "gen/generators.hpp"
-#include "graph/degeneracy.hpp"
-#include "protocols/lr_sorting.hpp"
 #include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -34,15 +31,13 @@ inline int soundness_trials(int def = 40) {
   return env_int("LRDIP_BENCH_TRIALS", 1, 100000, def);
 }
 
-/// Instance-to-protocol plumbing, including the precomputed accountable
-/// endpoints so repeated executions skip the degeneracy ordering.
-inline LrSortingInstance to_protocol_instance(const LrInstance& gi) {
-  LrSortingInstance inst;
-  inst.graph = &gi.graph;
-  inst.order = gi.order;
-  inst.tail = lr_claimed_tails(gi);
-  inst.accountable = accountable_endpoints(gi.graph);
-  return inst;
+/// Value of a numeric flag: the whole string must be a number (see
+/// support/parse.hpp); anything else prints `usage` and exits 2.
+template <typename T>
+T number_or_exit(const std::string& s, const char* usage) {
+  if (const std::optional<T> v = parse_number<T>(s)) return *v;
+  std::cerr << usage;
+  std::exit(2);
 }
 
 inline void print_header(const std::string& title, const std::string& claim) {

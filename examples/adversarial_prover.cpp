@@ -6,42 +6,40 @@
 // two soundness exponents c.
 //
 //   $ ./adversarial_prover [trials]
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "gen/generators.hpp"
 #include "protocols/lr_sorting.hpp"
 #include "protocols/registry.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace lrdip;
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 300;
+  const std::optional<int> arg = argc > 1 ? parse_number<int>(argv[1]) : 300;
+  if (!arg || *arg < 1) {
+    std::cerr << "usage: adversarial_prover [trials]\n";
+    return 2;
+  }
+  const int trials = *arg;
   const int n = 1 << 12;
   Rng rng(11);
 
   std::cout << "LR-sorting on n=" << n << " against cheating provers ("
             << trials << " trials each)\n\n";
 
-  auto to_inst = [](const LrInstance& gi) {
-    LrSortingInstance inst;
-    inst.graph = &gi.graph;
-    inst.order = gi.order;
-    inst.tail = lr_claimed_tails(gi);
-    return inst;
-  };
-
   Table t({"adversary", "c", "accepted", "rate"});
   for (int c : {2, 3}) {
     int flip_acc = 0, shift_acc = 0;
     for (int s = 0; s < trials; ++s) {
       const LrInstance no = random_lr_no(n, 1.0, 1, rng);
-      flip_acc += run_protocol(make_instance(to_inst(no)), {c}, rng).accepted;
+      flip_acc += run_protocol(make_instance(lr_sorting_instance(no)), {c}, rng).accepted;
       const LrInstance yes = random_lr_yes(n, 1.0, rng);
       LrCheatSpec cheat;
       cheat.shift_block = true;
-      shift_acc += run_lr_sorting_cheating(to_inst(yes), {c}, rng, cheat).accepted;
+      shift_acc += run_lr_sorting_cheating(lr_sorting_instance(yes), {c}, rng, cheat).accepted;
     }
     t.add_row({"flip one edge (adaptive)", Table::num(c), Table::num(flip_acc),
                Table::num(double(flip_acc) / trials, 4)});

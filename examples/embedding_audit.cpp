@@ -7,18 +7,24 @@
 // pinpoints rejection without shipping the topology anywhere.
 //
 //   $ ./embedding_audit [n]
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "gen/generators.hpp"
 #include "graph/rotation.hpp"
 #include "protocols/planar_embedding.hpp"
 #include "protocols/registry.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace lrdip;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 2048;
+  const std::optional<int> arg = argc > 1 ? parse_number<int>(argv[1]) : 2048;
+  if (!arg || *arg < 1) {
+    std::cerr << "usage: embedding_audit [n]\n";
+    return 2;
+  }
+  const int n = *arg;
   Rng rng(23);
 
   const auto good = random_planar(n, 0.35, rng);

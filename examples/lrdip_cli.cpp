@@ -432,19 +432,11 @@ int run_gen(const std::string& family, int n, const std::string& out, const Opti
   } else if (family == "treewidth2") {
     gf.graph = random_treewidth2(n, std::max(1, n / 64), rng);
   } else if (family == "lr-yes" || family == "lr-no") {
-    const LrInstance inst =
+    LrInstance inst =
         family == "lr-yes" ? random_lr_yes(n, 1.0, rng) : random_lr_no(n, 1.0, 1, rng);
-    gf.graph = inst.graph;
-    gf.order = inst.order;
-    std::vector<int> pos(inst.graph.n());
-    for (int i = 0; i < inst.graph.n(); ++i) pos[inst.order[i]] = i;
-    std::vector<NodeId> tails(inst.graph.m());
-    for (EdgeId e = 0; e < inst.graph.m(); ++e) {
-      const auto [u, v] = inst.graph.endpoints(e);
-      const NodeId early = pos[u] < pos[v] ? u : v;
-      tails[e] = inst.forward[e] ? early : inst.graph.other_end(e, early);
-    }
-    gf.tails = std::move(tails);
+    gf.tails = lr_claimed_tails(inst);
+    gf.graph = std::move(inst.graph);
+    gf.order = std::move(inst.order);
   } else {
     return usage();
   }

@@ -43,7 +43,7 @@ int main() {
             << " bits/node\n\n";
 
   std::cout << "interaction buys label size O(log log n) instead of Theta(log n);\n"
-            << "at this toy size the constants dominate — run bench_separation for\n"
+            << "at this toy size the constants dominate — run bench_proof_size for\n"
             << "the asymptotic picture.\n";
   return 0;
 }

@@ -7,18 +7,24 @@
 // to direct neighbors.
 //
 //   $ ./topology_audit [n]
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "gen/generators.hpp"
 #include "graph/series_parallel.hpp"
 #include "protocols/registry.hpp"
 #include "protocols/series_parallel_protocol.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace lrdip;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 4096;
+  const std::optional<int> arg = argc > 1 ? parse_number<int>(argv[1]) : 4096;
+  if (!arg || *arg < 1) {
+    std::cerr << "usage: topology_audit [n]\n";
+    return 2;
+  }
+  const int n = *arg;
   Rng rng(7);
 
   std::cout << "scenario: " << n << "-agent overlay; coordinator claims the "

@@ -9,6 +9,7 @@
 #include "field/fp.hpp"
 #include "field/fp_simd.hpp"
 #include "field/primes.hpp"
+#include "gen/generators.hpp"
 #include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
 #include "support/bits.hpp"
@@ -42,6 +43,10 @@ constexpr std::size_t kFDist = 1;  // outer edge: distinguishing index (dist_bit
 constexpr std::size_t kFJ = 2;     // outer edge: claimed phi prefix value (fbits)
 
 }  // namespace
+
+LrSortingInstance lr_sorting_instance(const LrInstance& gen) {
+  return {&gen.graph, gen.order, lr_claimed_tails(gen), accountable_endpoints(gen.graph)};
+}
 
 PathLocal path_locals(const LrSortingInstance& inst) {
   const Graph& g = *inst.graph;

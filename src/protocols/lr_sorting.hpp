@@ -47,6 +47,7 @@
 namespace lrdip {
 
 class FaultInjector;
+struct LrInstance;  // gen/generators.hpp
 
 struct LrSortingInstance {
   const Graph* graph = nullptr;
@@ -62,6 +63,11 @@ struct LrSortingInstance {
   /// Left empty, the stage computes it on demand.
   std::vector<NodeId> accountable;
 };
+
+/// The protocol view of a generated LR instance, borrowing `gen.graph`: its
+/// path order, the claimed tails (lr_claimed_tails) and the accountable
+/// endpoints, filled once so repeated executions skip the degeneracy ordering.
+LrSortingInstance lr_sorting_instance(const LrInstance& gen);
 
 /// What each node of an LR-family instance knows about the Hamiltonian path:
 /// its position, its path neighbors, and which edges are path edges. Shared

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "gen/generators.hpp"
-#include "graph/degeneracy.hpp"
 #include "obs/metrics.hpp"
 #include "support/bits.hpp"
 #include "support/check.hpp"
@@ -75,12 +74,8 @@ BoundInstance bind_lr(const GraphFile& gf) {
 
 template <typename Inst>
 BoundInstance own_lr(LrInstance gen, std::vector<EdgeId> witness = {}) {
-  return own(
-      std::move(gen),
-      [](const LrInstance& g) {
-        return Inst{&g.graph, g.order, lr_claimed_tails(g), accountable_endpoints(g.graph)};
-      },
-      std::move(witness));
+  const auto make = [](const LrInstance& g) { return Inst{lr_sorting_instance(g)}; };
+  return own(std::move(gen), make, std::move(witness));
 }
 
 // Yes-instance generators. Families, parameters, and per-size rng usage match

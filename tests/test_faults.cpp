@@ -12,7 +12,6 @@
 #include "dip/store.hpp"
 #include "dip/verdict.hpp"
 #include "gen/generators.hpp"
-#include "graph/degeneracy.hpp"
 #include "protocols/lr_sorting.hpp"
 #include "protocols/outerplanarity.hpp"
 #include "protocols/path_outerplanarity.hpp"
@@ -144,11 +143,7 @@ struct FaultTask {
 std::vector<FaultTask> make_tasks(int n) {
   Rng gen(2024);
   auto lr_inst = std::make_shared<LrInstance>(random_lr_yes(n, 1.0, gen));
-  auto lr = std::make_shared<LrSortingInstance>();
-  lr->graph = &lr_inst->graph;
-  lr->order = lr_inst->order;
-  lr->tail = lr_claimed_tails(*lr_inst);
-  lr->accountable = accountable_endpoints(lr_inst->graph);
+  auto lr = std::make_shared<LrSortingInstance>(lr_sorting_instance(*lr_inst));
   auto po = std::make_shared<PathOuterplanarInstance>(random_path_outerplanar(n, 1.0, gen));
   auto op = std::make_shared<OuterplanarCertInstance>(random_outerplanar_with_cert(n, 2, gen));
   auto pl = std::make_shared<PlanarInstance>(random_planar(n, 0.3, gen));

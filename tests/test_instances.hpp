@@ -16,15 +16,6 @@
 
 namespace lrdip::fixtures {
 
-/// Protocol-struct view of a generated LR instance (borrows `gi`).
-inline LrSortingInstance make_lr(const LrInstance& gi) {
-  LrSortingInstance inst;
-  inst.graph = &gi.graph;
-  inst.order = gi.order;
-  inst.tail = lr_claimed_tails(gi);
-  return inst;
-}
-
 /// The suite's default planar host (density matches the registry family).
 inline PlanarInstance planar_host(int n, Rng& rng) { return random_planar(n, 0.4, rng); }
 

@@ -11,20 +11,12 @@
 namespace lrdip {
 namespace {
 
-LrSortingInstance to_protocol_instance(const LrInstance& gen_inst) {
-  LrSortingInstance inst;
-  inst.graph = &gen_inst.graph;
-  inst.order = gen_inst.order;
-  inst.tail = lr_claimed_tails(gen_inst);
-  return inst;
-}
-
 TEST(LrSorting, PerfectCompleteness) {
   Rng rng(1);
   for (int t = 0; t < 30; ++t) {
     const int n = 32 + static_cast<int>(rng.uniform(400));
     const LrInstance gi = random_lr_yes(n, 1.0, rng);
-    const LrSortingInstance inst = to_protocol_instance(gi);
+    const LrSortingInstance inst = lr_sorting_instance(gi);
     const Outcome o = run_protocol(make_instance(inst), {3}, rng);
     EXPECT_TRUE(o.accepted) << "n=" << n << " trial=" << t;
     EXPECT_EQ(o.rounds, 5);
@@ -34,7 +26,7 @@ TEST(LrSorting, PerfectCompleteness) {
 TEST(LrSorting, CompletenessAtLargeScale) {
   Rng rng(2);
   const LrInstance gi = random_lr_yes(1 << 15, 1.0, rng);
-  const LrSortingInstance inst = to_protocol_instance(gi);
+  const LrSortingInstance inst = lr_sorting_instance(gi);
   const Outcome o = run_protocol(make_instance(inst), {3}, rng);
   EXPECT_TRUE(o.accepted);
 }
@@ -45,7 +37,7 @@ TEST(LrSorting, SoundnessOneFlip) {
   const int trials = 60;
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(300, 1.0, 1, rng);
-    const LrSortingInstance inst = to_protocol_instance(gi);
+    const LrSortingInstance inst = lr_sorting_instance(gi);
     rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   // Soundness error is 1/polylog n; with c=3 and n=300 the cheat should
@@ -59,7 +51,7 @@ TEST(LrSorting, SoundnessManyFlips) {
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(500, 1.0, 8, rng);
-    const LrSortingInstance inst = to_protocol_instance(gi);
+    const LrSortingInstance inst = lr_sorting_instance(gi);
     rejects += !run_protocol(make_instance(inst), {3}, rng).accepted;
   }
   EXPECT_EQ(rejects, trials);
@@ -71,7 +63,7 @@ TEST(LrSorting, BlockShiftCheatIsCaught) {
   const int trials = 50;
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_yes(400, 1.0, rng);
-    const LrSortingInstance inst = to_protocol_instance(gi);
+    const LrSortingInstance inst = lr_sorting_instance(gi);
     LrCheatSpec cheat;
     cheat.shift_block = true;
     rejects += !run_lr_sorting_cheating(inst, {3}, rng, cheat).accepted;
@@ -87,7 +79,7 @@ TEST(LrSorting, MisclassifiedEdgeCheatIsCaught) {
     const LrInstance gi = random_lr_yes(600, 1.0, rng);
     LrCheatSpec cheat;
     cheat.misclassify_edge = true;
-    rejects += !run_lr_sorting_cheating(to_protocol_instance(gi), {3}, rng, cheat).accepted;
+    rejects += !run_lr_sorting_cheating(lr_sorting_instance(gi), {3}, rng, cheat).accepted;
   }
   // Caught by the r_b block-identity check except on a 1/p collision.
   EXPECT_GE(rejects, trials - 2);
@@ -101,7 +93,7 @@ TEST(LrSorting, CorruptedMultiplicityCheatIsCaught) {
     const LrInstance gi = random_lr_yes(600, 1.0, rng);
     LrCheatSpec cheat;
     cheat.corrupt_multiplicity = true;
-    rejects += !run_lr_sorting_cheating(to_protocol_instance(gi), {3}, rng, cheat).accepted;
+    rejects += !run_lr_sorting_cheating(lr_sorting_instance(gi), {3}, rng, cheat).accepted;
   }
   // Caught by the verification-scheme PIT except with probability ~1/p'.
   EXPECT_GE(rejects, trials - 2);
@@ -112,8 +104,8 @@ TEST(LrSorting, DeterministicGivenSeed) {
   const LrInstance a = random_lr_yes(800, 1.0, gen1);
   const LrInstance b = random_lr_yes(800, 1.0, gen2);
   Rng run1(5), run2(5);
-  const Outcome oa = run_protocol(make_instance(to_protocol_instance(a)), {3}, run1);
-  const Outcome ob = run_protocol(make_instance(to_protocol_instance(b)), {3}, run2);
+  const Outcome oa = run_protocol(make_instance(lr_sorting_instance(a)), {3}, run1);
+  const Outcome ob = run_protocol(make_instance(lr_sorting_instance(b)), {3}, run2);
   EXPECT_EQ(oa.accepted, ob.accepted);
   EXPECT_EQ(oa.proof_size_bits, ob.proof_size_bits);
   EXPECT_EQ(oa.total_label_bits, ob.total_label_bits);
@@ -125,8 +117,8 @@ TEST(LrSorting, ProofSizeGrowsDoublyLogarithmically) {
   // a small additive amount, far below the 2x of a log-n scheme.
   const LrInstance g1 = random_lr_yes(1 << 10, 1.0, rng);
   const LrInstance g2 = random_lr_yes(1 << 20, 1.0, rng);
-  const Outcome o1 = run_protocol(make_instance(to_protocol_instance(g1)), {3}, rng);
-  const Outcome o2 = run_protocol(make_instance(to_protocol_instance(g2)), {3}, rng);
+  const Outcome o1 = run_protocol(make_instance(lr_sorting_instance(g1)), {3}, rng);
+  const Outcome o2 = run_protocol(make_instance(lr_sorting_instance(g2)), {3}, rng);
   EXPECT_TRUE(o1.accepted);
   EXPECT_TRUE(o2.accepted);
   EXPECT_LT(o2.proof_size_bits, o1.proof_size_bits * 1.7);
@@ -141,18 +133,18 @@ TEST(LrSorting, ProofSizeGrowsDoublyLogarithmically) {
 TEST(LrSorting, BaselineDecidesCorrectly) {
   Rng rng(7);
   const LrInstance yes = random_lr_yes(100, 1.0, rng);
-  const Outcome o = finalize(lr_trivial_position_stage(to_protocol_instance(yes)));
+  const Outcome o = finalize(lr_trivial_position_stage(lr_sorting_instance(yes)));
   EXPECT_TRUE(o.accepted);
   EXPECT_EQ(o.rounds, 1);
   EXPECT_EQ(o.proof_size_bits, 7);  // ceil(log2 100) position bits
   const LrInstance no = random_lr_no(100, 1.0, 2, rng);
-  EXPECT_FALSE(finalize(lr_trivial_position_stage(to_protocol_instance(no))).accepted);
+  EXPECT_FALSE(finalize(lr_trivial_position_stage(lr_sorting_instance(no))).accepted);
 }
 
 TEST(LrSorting, TinyInstancesUseTrivialProtocol) {
   Rng rng(8);
   const LrInstance yes = random_lr_yes(5, 1.0, rng);
-  const Outcome o = run_protocol(make_instance(to_protocol_instance(yes)), {3}, rng);
+  const Outcome o = run_protocol(make_instance(lr_sorting_instance(yes)), {3}, rng);
   EXPECT_TRUE(o.accepted);
   EXPECT_EQ(o.rounds, 1);
 }
@@ -160,7 +152,7 @@ TEST(LrSorting, TinyInstancesUseTrivialProtocol) {
 TEST(LrSorting, HigherSoundnessExponentGrowsProofLinearlyInC) {
   Rng rng(9);
   const LrInstance gi = random_lr_yes(1 << 14, 1.0, rng);
-  const LrSortingInstance inst = to_protocol_instance(gi);
+  const LrSortingInstance inst = lr_sorting_instance(gi);
   const Outcome o2 = run_protocol(make_instance(inst), {2}, rng);
   const Outcome o5 = run_protocol(make_instance(inst), {5}, rng);
   EXPECT_TRUE(o2.accepted);
@@ -175,8 +167,8 @@ TEST(LrSorting, DensityDoesNotBlowUpProofSize) {
   Rng rng(10);
   const LrInstance sparse = random_lr_yes(1 << 12, 0.2, rng);
   const LrInstance dense = random_lr_yes(1 << 12, 2.0, rng);
-  const Outcome os = run_protocol(make_instance(to_protocol_instance(sparse)), {3}, rng);
-  const Outcome od = run_protocol(make_instance(to_protocol_instance(dense)), {3}, rng);
+  const Outcome os = run_protocol(make_instance(lr_sorting_instance(sparse)), {3}, rng);
+  const Outcome od = run_protocol(make_instance(lr_sorting_instance(dense)), {3}, rng);
   EXPECT_TRUE(os.accepted);
   EXPECT_TRUE(od.accepted);
   EXPECT_LT(od.proof_size_bits, os.proof_size_bits * 3);

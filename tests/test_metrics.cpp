@@ -156,10 +156,7 @@ obs::RunMetrics metered_lr_run(const LrSortingInstance& inst, int threads) {
 TEST_F(MetricsTest, CountsIndependentOfThreadCount) {
   Rng gen_rng(99);
   const LrInstance gi = random_lr_yes(512, 1.0, gen_rng);
-  LrSortingInstance inst;
-  inst.graph = &gi.graph;
-  inst.order = gi.order;
-  inst.tail = lr_claimed_tails(gi);
+  const LrSortingInstance inst = lr_sorting_instance(gi);
 
   const obs::RunMetrics base = metered_lr_run(inst, 1);
   ASSERT_FALSE(base.rounds.empty());

@@ -25,8 +25,6 @@
 namespace lrdip {
 namespace {
 
-using fixtures::make_lr;
-
 // ------------------------------------------------ completeness sweeps
 
 using GridParam = std::tuple<int /*n*/, int /*density x10*/, int /*seed*/>;
@@ -37,7 +35,7 @@ TEST_P(LrCompleteness, AlwaysAccepts) {
   const auto [n, density10, seed] = GetParam();
   Rng rng(seed);
   const LrInstance gi = random_lr_yes(n, density10 / 10.0, rng);
-  EXPECT_TRUE(run_protocol(make_instance(make_lr(gi)), {3}, rng).accepted);
+  EXPECT_TRUE(run_protocol(make_instance(lr_sorting_instance(gi)), {3}, rng).accepted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, LrCompleteness,
@@ -224,7 +222,7 @@ TEST_P(LrSoundnessFloor, FlippedEdgesRejected) {
   const int trials = 25;
   for (int t = 0; t < trials; ++t) {
     const LrInstance gi = random_lr_no(n, 1.0, flips, rng);
-    rejects += !run_protocol(make_instance(make_lr(gi)), {3}, rng).accepted;
+    rejects += !run_protocol(make_instance(lr_sorting_instance(gi)), {3}, rng).accepted;
   }
   EXPECT_GE(rejects, trials - 1);
 }

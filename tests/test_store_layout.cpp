@@ -142,12 +142,8 @@ void ExpectOutcome(const Outcome& o, const ExpectedOutcome& e) {
 Outcome run_lr_fixed() {
   Rng gen(12345);
   const LrInstance gi = random_lr_yes(2048, 1.0, gen);
-  LrSortingInstance inst;
-  inst.graph = &gi.graph;
-  inst.order = gi.order;
-  inst.tail = lr_claimed_tails(gi);
   Rng rng(777);
-  return run_protocol(make_instance(inst), {3}, rng);
+  return run_protocol(make_instance(lr_sorting_instance(gi)), {3}, rng);
 }
 
 Outcome run_outerplanarity_fixed() {
